@@ -30,8 +30,8 @@ from .testideal import (TauParams, TauResult, degree_bound_check,
 from .thresholds import (DenomBound, JumpList, NuRecord, ThresholdEstimate,
                          denominator_bound, f_threshold, fpt,
                          jumping_exponents, nu)
-from .oracle import (integral_closure_monomial, monomial_power_root,
-                     nu_bruteforce, root_monomial, test_ideal_chain)
+from .newton import integral_closure_monomial
+from .oracle import nu_bruteforce, root_monomial, test_ideal_chain
 from .ratutil import best_below, parse_rational, simplest_between
 from .jobfile import JobInput, load_job
 
@@ -51,7 +51,7 @@ __all__ = [
     "skoda_reduce", "test_ideal",
     "DenomBound", "JumpList", "NuRecord", "ThresholdEstimate",
     "denominator_bound", "f_threshold", "fpt", "jumping_exponents", "nu",
-    "integral_closure_monomial", "monomial_power_root", "nu_bruteforce",
+    "integral_closure_monomial", "nu_bruteforce",
     "root_monomial", "test_ideal_chain",
     "best_below", "parse_rational", "simplest_between",
     "JobInput", "load_job",

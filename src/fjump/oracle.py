@@ -168,19 +168,6 @@ def _sweep_two(u, w, r: int, q: int, fixed) -> set:
     return out
 
 
-def monomial_power_root(a: Ideal, r: int, e: int, *,
-                        gen_limit: int | None = None) -> Ideal:
-    """The level-e root of a^r for monomial a, computed from floors alone."""
-    vecs = monomial_exponents(a)
-    if not vecs:
-        return Ideal(a.ring, [])
-    if r == 0:
-        return Ideal(a.ring, [a.ring.one()])
-    q = a.ring.p ** e
-    floors = power_root_vectors([(vecs, r)], q, a.ring.nvars, gen_limit=gen_limit)
-    return monomial_ideal(a.ring, floors)
-
-
 # ---------------------------------------------------------------------------
 # Literal brute-force references.
 
@@ -219,79 +206,3 @@ def test_ideal_chain(a: Ideal, c, e_max: int, *,
         r = ceil(c * a.ring.p ** e)
         out.append((e, frobenius_root(ideal_power(a, r, gen_limit=gen_limit), e)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Integral closure of monomial ideals (Newton polyhedron membership).
-
-
-def _in_newton_region(vecs, w) -> bool:
-    """Whether w lies in conv(vecs) + R^n_{>=0}, decided exactly.
-
-    Feasibility of {lam >= 0, sum lam = 1, V^T lam <= w} is checked on basic
-    solutions: the polytope is bounded, so it is nonempty iff some square
-    subsystem yields a nonnegative solution."""
-    m = len(vecs)
-    n = len(w)
-    # Columns: lam_1..lam_m, s_1..s_n.  Rows: sum lam = 1; V^T lam + s = w.
-    ncols = m + n
-    rows = []
-    rows.append(([Fraction(1)] * m + [Fraction(0)] * n, Fraction(1)))
-    for j in range(n):
-        coef = [Fraction(vecs[i][j]) for i in range(m)]
-        coef += [Fraction(1) if k == j else Fraction(0) for k in range(n)]
-        rows.append((coef, Fraction(w[j])))
-    nrows = n + 1
-    from itertools import combinations
-
-    for cols in combinations(range(ncols), nrows):
-        sol = _solve_square([[row[0][c] for c in cols] for row in rows],
-                            [row[1] for row in rows])
-        if sol is not None and all(x >= 0 for x in sol):
-            return True
-    return False
-
-
-def _solve_square(mat, rhs):
-    n = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-def integral_closure_monomial(a: Ideal) -> Ideal:
-    """All monomials whose exponent vectors lie in the Newton polyhedron of
-    the generators; the minimal ones sit inside the componentwise-max box."""
-    vecs = minimal_vectors(monomial_exponents(a))
-    if not vecs:
-        return Ideal(a.ring, [])
-    n = a.ring.nvars
-    box = [max(v[j] for v in vecs) for j in range(n)]
-    min_deg = min(sum(v) for v in vecs)
-    inside = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            w = tuple(prefix)
-            if sum(w) < min_deg:
-                return  # below every convex combination's degree
-            if any(all(x >= y for x, y in zip(w, v)) for v in vecs):
-                inside.append(w)  # dominates a generator outright
-            elif _in_newton_region(vecs, w):
-                inside.append(w)
-            return
-        for x in range(box[len(prefix)] + 1):
-            rec(prefix + [x])
-
-    rec([])
-    return monomial_ideal(a.ring, inside)

@@ -2,17 +2,17 @@
 
 The test ideal of a with exponent c is the union of the ascending chain
 (a^ceil(c p^e))^[1/p^e]; the union is a single chain term once e is large
-enough, but no effective bound on that e is available in general.  The
-chain is therefore scanned until its value repeats ``plateau`` times in a
-row.  Such a plateau can in principle be premature, so results carry a
-``certified`` flag:
+enough.  Results carry a ``certified`` flag:
 
-* For ideals with monomial generators the chain term is a pure floor
-  computation, cheap at any level, and the plateau is re-checked on a
-  schedule keyed to the denominator of c (probing past the level where
-  ceilings of c*p^e settle into their eventual periodic pattern, plus two
-  doublings).  Only then is the result certified.
-* For general ideals the plateau is reported with certified = False.
+* For ideals with monomial generators the union has a closed form, the
+  interior lattice points of the scaled Newton polyhedron (Howald;
+  Hara-Yoshida), computed in ``newton``.  The result is certified by that
+  theorem, and the level from which the chain equals it is bounded from
+  the polyhedron without evaluating any chain term.
+* For general ideals no effective bound on the stabilizing level is
+  available, so the chain is scanned until its value repeats ``plateau``
+  times in a row.  Such a plateau can in principle be premature, and it is
+  reported with certified = False.
 
 Exponents c >= the number of generators are first peeled down by Skoda's
 theorem, tau(a^c) = a * tau(a^(c-1)).
@@ -29,7 +29,8 @@ from .errors import (FjumpError, InconclusiveError, PreconditionError,
 from .frobroot import frobenius_root
 from .groebner import Ideal, generated_in_degree, ideal_power, ideal_product
 from .multipoly import RingCtx
-from .oracle import minimal_vectors, monomial_ideal, power_root_vectors
+from .newton import tau_vectors
+from .oracle import minimal_vectors, monomial_ideal
 from .ratutil import multiplicative_order
 
 
@@ -54,10 +55,12 @@ class TauParams:
 class TauResult:
     """A computed test ideal.
 
-    ``stabilized_at`` is the first chain level whose value equals the
-    result; ``chain_trace`` lists the inspected (e, ideal) pairs in
-    ascending order; ``certified`` is True only when the monomial
-    verification schedule confirmed the plateau.
+    ``stabilized_at`` is a chain level from which the chain provably equals
+    the result for monomial inputs, and the first level of the accepted
+    plateau otherwise; ``chain_trace`` lists the inspected (e, ideal) pairs
+    in ascending order, and is empty when no chain term was evaluated;
+    ``certified`` is True only when a theorem proves the result (the
+    Newton-polyhedron closed form for monomial inputs).
     """
 
     ideal: Ideal
@@ -121,7 +124,7 @@ def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
 
     c = 0 follows the convention tau(a^0) = R unless a = (0), which stays
     (0).  Raises InconclusiveError (with the partial chain attached) when
-    no plateau shows up by e_max."""
+    the chain of a non-monomial ideal shows no plateau by e_max."""
     params = params or TauParams()
     c = _as_exponent(c)
     ring = a.ring
@@ -152,8 +155,8 @@ def mixed_test_ideal(pairs, params: TauParams | None = None, *,
                      gen_limit: int | None = None,
                      step_limit: int | None = None,
                      e_limit: int | None = None) -> TauResult:
-    """The mixed test ideal of (a_1^{c_1} ... a_k^{c_k}): same plateau
-    protocol on the chain (prod_i a_i^ceil(c_i p^e))^[1/p^e]."""
+    """The mixed test ideal of (a_1^{c_1} ... a_k^{c_k}), the union of the
+    chain (prod_i a_i^ceil(c_i p^e))^[1/p^e]; computed as in test_ideal."""
     params = params or TauParams()
     pairs = [(a, _as_exponent(c)) for a, c in pairs]
     if not pairs:
@@ -193,8 +196,9 @@ def _monomial_groups(pairs):
 def _scan_chain(pairs, params: TauParams, *, gen_limit, step_limit, e_limit):
     groups = _monomial_groups(pairs)
     if groups is not None:
-        return _scan_chain_monomial(pairs[0][0].ring, groups, params,
-                                    gen_limit=gen_limit)
+        ring = pairs[0][0].ring
+        vecs, stab = tau_vectors(groups, ring.p, params.e_min)
+        return TauResult(monomial_ideal(ring, vecs), stab, True)
     return _scan_chain_general(pairs, params, gen_limit=gen_limit,
                                step_limit=step_limit, e_limit=e_limit)
 
@@ -216,7 +220,7 @@ def _scan_chain_general(pairs, params: TauParams, *, gen_limit, step_limit, e_li
             cache[e] = got
         return got
 
-    a0, _, b = _phase_of(p, lcm(*(c.denominator for _, c in pairs)))
+    a0, b = _phase_of(p, lcm(*(c.denominator for _, c in pairs)))
 
     trace: list = []
     run = 0
@@ -280,131 +284,14 @@ def _probe_affordable(pairs, p: int, e: int) -> bool:
 
 
 def _phase_of(p: int, den: int):
-    """Split den = p^a0 * t and return (a0, t, ord of p mod t); the order is
-    None when it is out of reach (then phase-matched probing is impossible
-    and callers fall back to depth-only probes)."""
+    """Split den = p^a0 * t and return (a0, ord of p mod t); the order is
+    None when it is out of reach (then phase-matched probing is impossible)."""
     a0 = 0
     rest = den
     while rest % p == 0:
         rest //= p
         a0 += 1
     try:
-        return a0, rest, multiplicative_order(p, rest, limit=100_000)
+        return a0, multiplicative_order(p, rest, limit=100_000)
     except ResourceLimitError:
-        return a0, rest, None
-
-
-def _scan_chain_monomial(ring: RingCtx, groups, params: TauParams, *, gen_limit):
-    """Floor-formula chain with a denominator-aware verification schedule.
-
-    Writing den(c) = p^a0 * t with p not dividing t, the ceilings ceil(c p^e)
-    repeat their fractional pattern with period b = ord_p mod t once e > a0,
-    so the chain is probed at phase-matched levels beyond a0 + b and at two
-    doublings before a plateau is believed.  A plateau that fails a probe is
-    abandoned and the scan resumes from the first level that moved."""
-    p = ring.p
-    n = ring.nvars
-    cache: dict[int, frozenset] = {}
-
-    def term(e: int) -> frozenset:
-        got = cache.get(e)
-        if got is None:
-            rs = [(vecs, ceil(c * p**e)) for vecs, c in groups]
-            got = power_root_vectors(rs, p**e, n, gen_limit=gen_limit)
-            cache[e] = got
-        return got
-
-    a0, t_free, b = _phase_of(p, lcm(*(c.denominator for _, c in groups)))
-
-    trace: list = []
-    run = 0
-    plateau_at = None
-    for e in range(params.e_min, params.e_max + 1):
-        value = term(e)
-        if trace and value == trace[-1][1]:
-            run += 1
-        else:
-            run = 1
-        trace.append((e, value))
-        if run >= params.plateau:
-            plateau_at = e - run + 1
-            break
-    if plateau_at is None:
-        raise InconclusiveError(
-            f"chain did not stabilize by e_max={params.e_max}",
-            tuple((e, monomial_ideal(ring, v)) for e, v in trace))
-
-    # Verify on phase-matched levels plus two doublings.  The chain ascends,
-    # so the deepest level reached is always the best estimate; the result is
-    # certified only when the whole ladder agrees.
-    certified = False
-    stab = plateau_at
-    value = trace[-1][1]
-    if b is None:
-        # The period of the ceiling pattern is out of reach; probe on depth
-        # alone (past the bit length of the denominator), without certifying.
-        depth = a0 + _log_ceil(p, t_free) + 2
-        anchor = max(plateau_at, depth)
-        for pe in (anchor, anchor + 1, anchor + 2, 2 * anchor):
-            try:
-                probe = term(pe)
-            except ResourceLimitError:
-                break
-            if probe != value:
-                value = probe
-                stab = _first_level_with(term, params.e_min, pe, value)
-    else:
-        anchor = max(plateau_at, a0 + b)
-        for _ in range(5):
-            ladder = sorted({anchor, anchor + b, anchor + 2 * b,
-                             2 * anchor, 2 * anchor + b})
-            vals = []
-            exhausted = False
-            for pe in ladder:
-                try:
-                    vals.append(term(pe))
-                except ResourceLimitError:
-                    exhausted = True
-                    break
-            if vals and vals[-1] != value:
-                value = vals[-1]
-                stab = _first_level_with(term, params.e_min,
-                                         ladder[len(vals) - 1], value)
-            if exhausted:
-                break  # out of budget: keep the deepest value, uncertified
-            if all(v == vals[0] for v in vals):
-                certified = True
-                stab = _first_level_with(term, params.e_min, anchor, value)
-                break
-            anchor = 2 * max(ladder)
-        else:
-            raise InconclusiveError(
-                "monomial chain kept moving past the verification schedule",
-                tuple((e, monomial_ideal(ring, v)) for e, v in trace))
-    if value != trace[-1][1]:
-        # The scanned plateau was premature; the verified value sits higher.
-        trace.append((stab, value))
-    ideal_trace = tuple((e, monomial_ideal(ring, v)) for e, v in trace)
-    return TauResult(monomial_ideal(ring, value), stab, certified, ideal_trace)
-
-
-def _log_ceil(p: int, t: int) -> int:
-    out = 0
-    acc = 1
-    while acc < t:
-        acc *= p
-        out += 1
-    return out
-
-
-def _first_level_with(term, e_lo: int, e_hi: int, value: frozenset) -> int:
-    # The chain ascends, so {e : term(e) == value} is a final segment up to
-    # e_hi; binary search for its left end.
-    lo, hi = e_lo, e_hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if term(mid) == value:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+        return a0, None

@@ -26,6 +26,7 @@ from math import ceil, comb
 from .errors import PreconditionError, ResourceLimitError
 from .frobroot import frobenius_root
 from .groebner import Ideal, ideal_power, normal_form, radical_member
+from .oracle import minimal_vectors, monomial_exponents
 from .ratutil import multiplicative_order, simplest_between
 from .testideal import TauParams, TauResult, test_ideal
 
@@ -243,11 +244,15 @@ def fpt(a: Ideal, e_max: int, *,
 def denominator_bound(a: Ideal, cap: int | None = None) -> DenomBound:
     """Instantiate the denominator family for a: with m generators of degree
     at most d and e0 minimal with p^e0 > m*d, every jump's denominator
-    divides p^a(p^b-1) for some a <= e0 + N, b <= N = C(m*d + n, n)."""
+    divides p^a(p^b-1) for some a <= e0 + N, b <= N = C(m*d + n, n).  A
+    monomial ideal is counted by its minimal generators, whatever the list."""
     ring = a.ring
     p = ring.p
-    m = len(a.gens)
-    degs = [g.total_degree() for g in a.gens]
+    if all(g.is_term() for g in a.gens):
+        vecs = minimal_vectors(monomial_exponents(a))
+        m, degs = len(vecs), [sum(v) for v in vecs]
+    else:
+        m, degs = len(a.gens), [g.total_degree() for g in a.gens]
     d = max(degs) if degs else 0
     md = m * d
     e0 = 0

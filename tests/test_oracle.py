@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from fjump import (Ideal, PreconditionError, frobenius_root,
-                   integral_closure_monomial, is_member, is_subset,
-                   monomial_power_root, nu_bruteforce, root_monomial)
+from fjump import (Ideal, PreconditionError, frobenius_root, ideal_power,
+                   integral_closure_monomial, is_subset, nu_bruteforce,
+                   root_monomial)
 from fjump import test_ideal_chain as raw_chain
-from fjump.oracle import minimal_vectors, power_root_vectors
+from fjump.oracle import (minimal_vectors, monomial_exponents, monomial_ideal,
+                          power_root_vectors)
 
 from conftest import random_monomial_ideal, ring
 from helpers import brute_force_monomial_power_root
@@ -62,9 +63,9 @@ def test_power_root_vectors_mixed_groups():
 
 def test_monomial_power_root_large_level():
     # The sweep touches only floor breakpoints, so huge levels stay cheap.
-    a = R2.ideal("x", "y")
-    assert monomial_power_root(a, 2**41, 40) == R2.ideal("x", "y")
-    assert monomial_power_root(a, 2**40, 40) == R2.ideal("1")
+    xy = ((1, 0), (0, 1))
+    assert power_root_vectors([(xy, 2**41)], 2**40, 2) == {(1, 0), (0, 1)}
+    assert power_root_vectors([(xy, 2**40)], 2**40, 2) == {(0, 0)}
 
 
 def test_monomial_power_root_matches_direct_route():
@@ -74,9 +75,8 @@ def test_monomial_power_root_matches_direct_route():
         a = random_monomial_ideal(rnd, R, max_gens=3, max_exp=5)
         r = rnd.randint(0, 5)
         e = rnd.randint(0, 2)
-        from fjump import ideal_power
-
-        assert monomial_power_root(a, r, e) == frobenius_root(ideal_power(a, r), e)
+        floors = power_root_vectors([(monomial_exponents(a), r)], R.p**e, R.nvars)
+        assert monomial_ideal(R, floors) == frobenius_root(ideal_power(a, r), e)
 
 
 def test_nu_bruteforce_examples():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -10,6 +11,7 @@ from fjump import (Ideal, InconclusiveError, PreconditionError, TauParams,
 from fjump import mixed_test_ideal as tau_mixed
 from fjump import test_ideal as tau
 from fjump import test_ideal_chain as raw_chain
+from fjump.oracle import monomial_exponents, monomial_ideal, power_root_vectors
 
 from conftest import random_ideal, random_monomial_ideal, random_poly, ring
 
@@ -252,6 +254,38 @@ def test_monomial_results_are_certified():
         near = c - Fraction(1, 2**11)
         if near > 0:
             assert tau(a, near).certified
+
+
+def test_closed_form_equals_the_chain_at_stabilized_at():
+    # stabilized_at is bounded from the Newton polyhedron alone; the chain
+    # term there, from the floor formula, must be the closed-form value.
+    rnd = random.Random(109)
+    checked = 0
+    while checked < 400:
+        n, p = rnd.randint(1, 3), rnd.choice([2, 3, 5])
+        R = ring(p, *"xyz"[:n])
+        k = 1 + checked % 2
+        factors = [random_monomial_ideal(rnd, R, max_gens=3 if k == 1 else 2,
+                                         max_exp=3) for _ in range(k)]
+        if any(a.is_zero() for a in factors):
+            continue
+        cs = [Fraction(rnd.randint(1, 12), rnd.choice([1, 2, 3, 4, 6]))
+              for _ in range(k)]
+        got = tau(factors[0], cs[0]) if k == 1 else \
+            tau_mixed(list(zip(factors, cs)))
+        assert got.certified
+        q = p**got.stabilized_at
+        term = power_root_vectors([(monomial_exponents(a), ceil(c * q))
+                                   for a, c in zip(factors, cs)], q, n)
+        assert monomial_ideal(R, term) == got.ideal, (factors, cs)
+        checked += 1
+
+
+def test_monomial_regression_over_f3():
+    # The chain reaches R at e = 4; a plateau scan used to stop at (x, y).
+    got = tau(R3.ideal("x^3", "x*y", "y^4"), Fraction(97, 100))
+    assert got.ideal == R3.ideal("1")
+    assert got.certified
 
 
 def test_near_jump_exponents_resolve_correctly():

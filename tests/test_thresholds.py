@@ -160,6 +160,22 @@ def test_jumping_exponent_examples():
     assert jl.certified
 
 
+def test_monomial_jumps_regression_over_f3():
+    jl = jumping_exponents(R3.ideal("x^3", "x*y", "y^4"), 1)
+    assert list(jl.jumps) == [0, 1]
+    assert jl.certified
+
+
+def test_denominator_bound_counts_minimal_generators():
+    R5 = ring(5, "x", "y")
+    listed = R5.ideal("x*y^3", "x^2*y^3", "x^4*y^4")
+    minimal = R5.ideal("x*y^3")
+    assert denominator_bound(listed) == denominator_bound(minimal)
+    jl = jumping_exponents(listed, 1)
+    assert jl.jumps == jumping_exponents(minimal, 1).jumps
+    assert list(jl.jumps) == [0, Fraction(1, 3), Fraction(2, 3), 1]
+
+
 def test_jump_preconditions():
     with pytest.raises(PreconditionError):
         jumping_exponents(Ideal(R2, []), 1)
