@@ -4,10 +4,13 @@ The root of b is the smallest ideal J with b contained in J^[p^e].  Over
 F_p it comes out of pure term surgery: write each exponent vector v of a
 generator as v = q*w + u with 0 <= u_j < q; the terms sharing a residue u
 assemble into one "bucket" polynomial in the x^w, and the buckets over all
-generators generate the root.  (Over a larger coefficient field the buckets
-would additionally be indexed by a basis of the field over its q-th powers;
-for F_p that basis is {1} and the index disappears.)  No Groebner machinery
-is involved, and the result does not depend on the chosen generators.
+generators generate the root.  Coefficients pass through unchanged, since
+c^p = c in F_p, and each bucket is scaled to be monic so that scalar
+multiples of one bucket collapse into one generator.  (Over a larger
+coefficient field the buckets would additionally be indexed by a basis of
+the field over its q-th powers; for F_p that basis is {1} and the index
+disappears.)  No Groebner machinery is involved, and the result does not
+depend on the chosen generators.
 """
 
 from __future__ import annotations
@@ -50,14 +53,16 @@ def frobenius_root(b: Ideal, e: int, *, e_limit: int | None = None) -> Ideal:
             u = tuple(v % q for v in exps)
             w = tuple(v // q for v in exps)
             bucket = buckets.setdefault(u, {})
-            nc = (bucket.get(w, 0) + ring.field.root(c, e)) % ring.p
+            nc = (bucket.get(w, 0) + c) % ring.p
             if nc:
                 bucket[w] = nc
             else:
                 bucket.pop(w, None)
-        for u in sorted(buckets):
-            if buckets[u]:
-                gens.append(Poly.from_terms(ring, buckets[u].items()))
+        for bucket in buckets.values():
+            if bucket:
+                inv = ring.field.inv(bucket[max(bucket, key=GREVLEX.key)])
+                gens.append(Poly._make(ring, {w: c * inv % ring.p
+                                              for w, c in bucket.items()}))
     gens = sorted(set(gens), key=lambda f: (GREVLEX.key(f.lead_term()[0]),
                                             f.sorted_terms()))
     return Ideal(ring, gens)

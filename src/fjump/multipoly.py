@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import FjumpError, PolyParseError, ResourceLimitError, RingMismatchError
 from .gfp import PrimeField
@@ -445,118 +445,94 @@ def _format_term(ring: RingCtx, exps: tuple[int, ...], coeff: int) -> str:
 # ---------------------------------------------------------------------------
 # Parser.
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<nat>\d+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>[+\-*^])
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    out.append(("end", "", len(text)))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str, ring: RingCtx):
-        self.ring = ring
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str):
-        raise PolyParseError(message, self.peek()[2])
-
-    def parse(self) -> Poly:
-        items = []
-        sign = self._sign(required=False)
-        items.append(self._term(sign))
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "end":
-                break
-            if kind == "op" and val in "+-":
-                self.next()
-                items.append(self._term(-1 if val == "-" else 1))
-            else:
-                self.fail("expected '+' or '-' between terms")
-        return Poly.from_terms(self.ring, items)
-
-    def _sign(self, required: bool) -> int:
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            return -1 if val == "-" else 1
-        if required:
-            self.fail("expected a term")
-        return 1
-
-    def _term(self, sign: int) -> tuple[tuple[int, ...], int]:
-        p = self.ring.p
-        coeff = 1
-        exps = [0] * self.ring.nvars
-        kind, val, _ = self.peek()
-        if kind == "nat":
-            self.next()
-            coeff = int(val) % p
-            if not self._eat_star():
-                return tuple(exps), coeff * sign % p
-        self._varpow(exps)
-        while self._eat_star():
-            self._varpow(exps)
-        return tuple(exps), coeff * sign % p
-
-    def _eat_star(self) -> bool:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "*":
-            self.next()
-            return True
-        return False
-
-    def _varpow(self, exps: list[int]):
-        kind, val, pos = self.peek()
-        if kind != "name":
-            self.fail("expected a variable name")
-        try:
-            idx = self.ring.var_names.index(val)
-        except ValueError:
-            raise PolyParseError(f"unknown variable {val!r}", pos) from None
-        self.next()
-        e = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val, pos = self.peek()
-            if kind != "nat":
-                self.fail("expected an exponent")
-            e = int(val)
-            if e > EXP_LIMIT:
-                raise PolyParseError("exponent overflow", pos)
-            self.next()
-        if exps[idx] + e > EXP_LIMIT:
-            raise PolyParseError("exponent overflow", self.peek()[2])
-        exps[idx] += e
+# One signed term with the whitespace around it.  A term ends where the next
+# term's sign starts or where the text ends, since signs occur nowhere else.
+_VARPOW = _IDENT_RE.pattern + r"(?:\s*\^\s*\d+)?"
+_TERM_RE = re.compile(
+    rf"\s*([+-]?)\s*((?:\d+|{_VARPOW})(?:\s*\*\s*{_VARPOW})*)\s*(?=[+-]|\Z)")
+_TOKEN_RE = re.compile(rf"\d+|{_IDENT_RE.pattern}|[+\-*^]")
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_+\-*^]")
 
 
 def parse(text: str, ring: RingCtx) -> Poly:
-    """Parse the grammar above; coefficients reduce mod p."""
-    return _Parser(text, ring).parse()
+    """Parse the grammar above; coefficients reduce mod p.
+
+    One regex match takes a whole signed term, its factors are split at
+    '*' and '^', and the term goes straight into the polynomial's dict."""
+    index = {name: i for i, name in enumerate(ring.var_names)}
+    p = ring.p
+    terms: dict = {}
+    pos = 0
+    while True:
+        m = _TERM_RE.match(text, pos)
+        if m is None:
+            _fail(text, pos, index)
+        sign, body = m.groups()
+        exps = [0] * len(index)
+        factors = body.split("*")
+        coeff = int(factors.pop(0)) if body[0].isdecimal() else 1
+        for factor in factors:
+            name, _, e = factor.partition("^")
+            i = index.get(name.strip())
+            if i is None:
+                _fail(text, pos, index)
+            exps[i] += int(e) if e else 1
+        if max(exps) > EXP_LIMIT:
+            _fail(text, pos, index)
+        key = tuple(exps)
+        c = (terms.get(key, 0) + (-coeff if sign == "-" else coeff)) % p
+        if c:
+            terms[key] = c
+        else:
+            terms.pop(key, None)
+        pos = m.end()
+        if pos == len(text):
+            return Poly._make(ring, terms)
+
+
+def _fail(text: str, pos: int, index: dict) -> NoReturn:
+    """Raise the PolyParseError for the rejected term that starts at ``pos``.
+
+    A character outside the grammar's alphabet is reported first, wherever
+    it is; otherwise the term is read again token by token and the first
+    token the grammar does not allow there is reported."""
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise PolyParseError(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = ((m.group(), m.start()) for m in _TOKEN_RE.finditer(text, pos))
+    end = ("", len(text))
+    tok, at = next(tokens, end)
+    if tok in ("+", "-"):
+        tok, at = next(tokens, end)
+    more = True
+    if tok[:1].isdecimal():
+        tok, at = next(tokens, end)
+        more = tok == "*"
+        if more:
+            tok, at = next(tokens, end)
+    exps = [0] * len(index)
+    while more:
+        if not _IDENT_RE.match(tok):
+            raise PolyParseError("expected a variable name", at)
+        i = index.get(tok)
+        if i is None:
+            raise PolyParseError(f"unknown variable {tok!r}", at)
+        tok, at = next(tokens, end)
+        e = 1
+        if tok == "^":
+            tok, at = next(tokens, end)
+            if not tok[:1].isdecimal():
+                raise PolyParseError("expected an exponent", at)
+            e = int(tok)
+            if e > EXP_LIMIT:
+                raise PolyParseError("exponent overflow", at)
+            tok, at = next(tokens, end)
+        exps[i] += e
+        if exps[i] > EXP_LIMIT:
+            raise PolyParseError("exponent overflow", at)
+        more = tok == "*"
+        if more:
+            tok, at = next(tokens, end)
+    # The term is complete and was still rejected, so what follows it is not
+    # a sign or the end of the text.
+    raise PolyParseError("expected '+' or '-' between terms", at)

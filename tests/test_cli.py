@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from fjump import JobFileError, load_job
+from fjump import JobFileError, cli, load_job
 from fjump.cli import REPORT_SCHEMA, run
 
 EXAMPLE = """\
@@ -107,6 +107,18 @@ def test_tau_command(job_path):
 def test_tau_oracle_mode(job_path):
     report = invoke_json(["tau", "-i", job_path, "--ideal", "m", "--c", "2",
                           "--oracle"])
+    assert report["result"]["oracle_agreement"] is True
+
+
+def test_tau_oracle_on_monomial_ideal_replays_by_the_floor_formula():
+    # The chain level stabilized_at + plateau = 8 needs I^6365, far past the
+    # generator cap; the floor formula reaches it without expanding.
+    code, out, err = invoke(["tau", "-i", "-", "--ideal", "a", "--c", "97/100",
+                             "--oracle", "--format", "json"],
+                            "ring p=3 vars=x,y\nideal a = x^3, x*y, y^4\n")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["result"]["generators"] == ["1"]
     assert report["result"]["oracle_agreement"] is True
 
 
@@ -226,3 +238,27 @@ def test_reports_reparse_to_equal_ideals(job_path, cusp_path):
         reparsed = Ideal.of(job.ring, *[g for g in gens if g != "0"])
         direct = Ideal.of(job.ring, *[g for g in gens if g != "0"])
         assert reparsed == direct
+
+
+@pytest.mark.parametrize("first,first_code,second", [
+    (["taumixed", "--pair", "a=1/2", "--pair", "m=1"], 0, ["taumixed", "--pair", "m=1"]),
+    (["jumps", "--ideal", "a", "--B", "1", "--cap", "7"], 0,
+     ["jumps", "--ideal", "a", "--B", "1"]),
+    (["tau", "--ideal", "m", "--c"], 1, ["tau", "--ideal", "m", "--c", "2"]),
+])
+def test_reused_parser_keeps_no_state_between_runs(job_path, first, first_code, second):
+    def report(argv):
+        code, out, err = invoke(argv + ["-i", job_path, "--format", "json"])
+        assert code == 0, err
+        rep = json.loads(out)
+        del rep["meta"]["wall_time_ms"]
+        return rep
+
+    cli._build_parser.cache_clear()
+    alone = report(second)
+    alone_args = cli._build_parser().parse_args(second + ["-i", job_path])
+    cli._build_parser.cache_clear()
+    assert invoke(first + ["-i", job_path, "--format", "json"])[0] == first_code
+    assert report(second) == alone
+    assert cli._build_parser().parse_args(second + ["-i", job_path]) == alone_args
+    assert cli._build_parser.cache_info().misses == 1

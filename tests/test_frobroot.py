@@ -26,6 +26,13 @@ def test_root_examples():
     assert frobenius_root(b, 0) == b
 
 
+def test_root_generators_are_monic_and_distinct():
+    # x^7 and 2*x^8 land in different buckets whose polynomials, x and 2*x,
+    # differ by a unit; only one generator is kept.
+    R7 = ring(7, "x")
+    assert frobenius_root(R7.ideal("x^7 + 2*x^8"), 1).gens == (R7.poly("x"),)
+
+
 def test_root_minimality_on_the_derived_example():
     # (x*y)^[2] contains x^3y^2 while the next candidate down does not.
     assert is_member(R2.poly("x^3*y^2"), bracket_power(R2.ideal("x*y"), 1))

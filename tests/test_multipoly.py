@@ -73,6 +73,43 @@ def test_parse_errors():
         R2.poly("x$y")
 
 
+_BIG = f"x^{EXP_LIMIT}"
+
+
+@pytest.mark.parametrize("text,message,offset", [
+    ("x^", "expected an exponent", 2),
+    ("x ^ ", "expected an exponent", 4),
+    ("x^y", "expected an exponent", 2),
+    ("x + + y", "expected a variable name", 4),
+    ("- - x", "expected a variable name", 2),
+    ("x*", "expected a variable name", 2),
+    ("2*3", "expected a variable name", 2),
+    ("", "expected a variable name", 0),
+    (" ", "expected a variable name", 1),
+    ("x y", "expected '+' or '-' between terms", 2),
+    ("2^3", "expected '+' or '-' between terms", 1),
+    ("x^2y", "expected '+' or '-' between terms", 3),
+    ("x*q", "unknown variable 'q'", 2),
+    ("xy", "unknown variable 'xy'", 0),
+    ("x$y", "unexpected character '$'", 1),
+    ("x + + y$", "unexpected character '$'", 7),
+    ("x*q + é", "unexpected character 'é'", 6),
+    (f"x^{EXP_LIMIT * 2}", "exponent overflow", 2),
+    # Each exponent fits; the overflow appears once they are added, and is
+    # reported at the token after the factor that overflows.
+    (_BIG + "*x", "exponent overflow", len(_BIG) + 2),
+    (_BIG + " * y*x^2 + y", "exponent overflow", len(_BIG) + 9),
+])
+def test_parse_error_table(text, message, offset):
+    with pytest.raises(PolyParseError) as exc:
+        parse(text, R2)
+    assert (exc.value.message, exc.value.offset) == (message, offset)
+
+
+def test_parse_accepts_unicode_digits_and_spaces():
+    assert parse("x^\u0662 +\u00a0\u0663*y", R2) == R2.poly("x^2 + y")
+
+
 def test_orders():
     # grevlex: degree first, then the rightmost variable counts against.
     a, b = (2, 0), (0, 2)
