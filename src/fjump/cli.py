@@ -112,7 +112,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--e-max", type=int, default=20,
                        help="chain scan depth (default 20)")
         p.add_argument("--plateau", type=int, default=2,
-                       help="repeats that count as stable (default 2)")
+                       help="repeats that count as stable when the bound "
+                            "does not close (default 2)")
 
     p = sub.add_parser("root", help="Frobenius root b^[1/p^e]")
     common(p)
@@ -347,8 +348,9 @@ def _render_text(report: dict, out):
                                       for r in meta["records"]), file=out)
     print(f"certified: {str(meta['certified']).lower()}", file=out)
     if not meta["certified"] and report["command"] in ("tau", "taumixed", "jumps"):
-        print("note: plateau detection is heuristic here; the value is the "
-              "first repeated chain term, not a proven stable one", file=out)
+        print("note: not proven; where the chain never met its upper bound, "
+              "the value is its first plateau (--plateau), which can be "
+              "premature", file=out)
 
 
 def run(argv, stdin=None, stdout=None, stderr=None) -> int:

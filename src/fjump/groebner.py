@@ -71,6 +71,14 @@ class Ideal:
             self._gb_cache[order] = gb
         return gb
 
+    def reduced(self, *, step_limit: int | None = None) -> "Ideal":
+        """The same ideal generated by its reduced grevlex basis, which the
+        new Ideal keeps as its cached basis."""
+        gb = self.groebner_basis(step_limit=step_limit)
+        out = Ideal(self.ring, gb.polys)
+        out._gb_cache[GREVLEX] = gb
+        return out
+
     def contains(self, f: Poly) -> bool:
         return is_member(f, self)
 

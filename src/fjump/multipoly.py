@@ -470,13 +470,16 @@ def parse(text: str, ring: RingCtx) -> Poly:
         sign, body = m.groups()
         exps = [0] * len(index)
         factors = body.split("*")
-        coeff = int(factors.pop(0)) if body[0].isdecimal() else 1
-        for factor in factors:
-            name, _, e = factor.partition("^")
-            i = index.get(name.strip())
-            if i is None:
-                _fail(text, pos, index)
-            exps[i] += int(e) if e else 1
+        try:
+            coeff = int(factors.pop(0)) if body[0].isdecimal() else 1
+            for factor in factors:
+                name, _, e = factor.partition("^")
+                i = index.get(name.strip())
+                if i is None:
+                    _fail(text, pos, index)
+                exps[i] += int(e) if e else 1
+        except ValueError:  # a number past the interpreter's int digit limit
+            _fail(text, pos, index)
         if max(exps) > EXP_LIMIT:
             _fail(text, pos, index)
         key = tuple(exps)
@@ -506,6 +509,7 @@ def _fail(text: str, pos: int, index: dict) -> NoReturn:
         tok, at = next(tokens, end)
     more = True
     if tok[:1].isdecimal():
+        _number(tok, at)  # rejects a coefficient too long for int()
         tok, at = next(tokens, end)
         more = tok == "*"
         if more:
@@ -523,7 +527,7 @@ def _fail(text: str, pos: int, index: dict) -> NoReturn:
             tok, at = next(tokens, end)
             if not tok[:1].isdecimal():
                 raise PolyParseError("expected an exponent", at)
-            e = int(tok)
+            e = _number(tok, at)
             if e > EXP_LIMIT:
                 raise PolyParseError("exponent overflow", at)
             tok, at = next(tokens, end)
@@ -536,3 +540,10 @@ def _fail(text: str, pos: int, index: dict) -> NoReturn:
     # The term is complete and was still rejected, so what follows it is not
     # a sign or the end of the text.
     raise PolyParseError("expected '+' or '-' between terms", at)
+
+
+def _number(tok: str, at: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise PolyParseError("number too long", at) from None

@@ -9,10 +9,20 @@ enough.  Results carry a ``certified`` flag:
   Hara-Yoshida), computed in ``newton``.  The result is certified by that
   theorem, and the level from which the chain equals it is bounded from
   the polyhedron without evaluating any chain term.
-* For general ideals no effective bound on the stabilizing level is
-  available, so the chain is scanned until its value repeats ``plateau``
-  times in a row.  Such a plateau can in principle be premature, and it is
-  reported with certified = False.
+* For general ideals each scanned level e, q = p^e, also gives an upper
+  bound.  A product of floor(c q) q' generators of an m-generated ideal is
+  a multiple of the q'-th power of a product of floor(c q) - m + 1 of them
+  (the pigeonhole step in ``thresholds``), so
+
+      (a^ceil(c q))^[1/q]  <=  tau(a^c)  <=  (a^(floor(c q) - m + 1))^[1/q],
+
+  with the powers multiplied factor by factor for mixed test ideals.  The
+  scan stops at the first level where the upper bound lies inside the
+  chain term, which proves the result (certified = True).  At a jump the
+  two sides never meet; the fallback there is a plateau: the chain value
+  repeating ``plateau`` times in a row and surviving a few probes at
+  levels in phase with the denominator of c.  A plateau can be premature,
+  and it is reported with certified = False.
 
 Exponents c >= the number of generators are first peeled down by Skoda's
 theorem, tau(a^c) = a * tau(a^(c-1)).
@@ -22,12 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, lcm
+from math import ceil, comb, floor, lcm
 
 from .errors import (FjumpError, InconclusiveError, PreconditionError,
                      ResourceLimitError)
 from .frobroot import frobenius_root
-from .groebner import Ideal, generated_in_degree, ideal_power, ideal_product
+from .groebner import (Ideal, generated_in_degree, ideal_power, ideal_product,
+                       is_subset)
 from .multipoly import RingCtx
 from .newton import tau_vectors
 from .oracle import minimal_vectors, monomial_ideal
@@ -36,8 +47,9 @@ from .ratutil import multiplicative_order
 
 @dataclass(frozen=True)
 class TauParams:
-    """Chain-scan controls: levels e_min..e_max, plateau length, and whether
-    Skoda reduction rewrites large exponents first."""
+    """Chain-scan controls: levels e_min..e_max, the plateau length of the
+    uncertified fallback, and whether Skoda reduction rewrites large
+    exponents first."""
 
     e_min: int = 1
     e_max: int = 20
@@ -55,12 +67,17 @@ class TauParams:
 class TauResult:
     """A computed test ideal.
 
-    ``stabilized_at`` is a chain level from which the chain provably equals
-    the result for monomial inputs, and the first level of the accepted
-    plateau otherwise; ``chain_trace`` lists the inspected (e, ideal) pairs
-    in ascending order, and is empty when no chain term was evaluated;
-    ``certified`` is True only when a theorem proves the result (the
-    Newton-polyhedron closed form for monomial inputs).
+    ``certified`` is True only when a theorem proves the result: the
+    Newton-polyhedron closed form for monomial inputs, the two-sided chain
+    bound otherwise.  Then ``stabilized_at`` is a chain level from which the
+    chain provably equals the result: for general ideals the level where
+    the bound closed, or the first level of a plateau whose value a deeper
+    probe proved.  For an uncertified result it is the first level of the
+    accepted plateau.  ``chain_trace`` lists the inspected (e, ideal)
+    pairs in ascending order, and is empty when no chain term was
+    evaluated.  A chain-scanned result is the same object as the last trace
+    entry; unless Skoda reduction scaled it, it is generated by its reduced
+    grevlex basis.
     """
 
     ideal: Ideal
@@ -147,8 +164,8 @@ def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
         return inner
     scale = ideal_power(a, s, gen_limit=gen_limit)
     trace = tuple((e, ideal_product(scale, T)) for e, T in inner.chain_trace)
-    return TauResult(ideal_product(scale, inner.ideal), inner.stabilized_at,
-                     inner.certified, trace)
+    ideal = trace[-1][1] if trace else ideal_product(scale, inner.ideal)
+    return TauResult(ideal, inner.stabilized_at, inner.certified, trace)
 
 
 def mixed_test_ideal(pairs, params: TauParams | None = None, *,
@@ -207,18 +224,35 @@ def _scan_chain_general(pairs, params: TauParams, *, gen_limit, step_limit, e_li
     ring = pairs[0][0].ring
     p = ring.p
 
-    cache: dict[int, Ideal] = {}
+    # Chain terms and upper bounds of this call, keyed by (exponent vector,
+    # level); an upper bound whose vector equals the lower one is a hit.
+    cache: dict = {}
 
-    def term(e: int) -> Ideal:
-        got = cache.get(e)
+    def root_of(rs: tuple, e: int) -> Ideal:
+        got = cache.get((rs, e))
         if got is None:
             prod = None
-            for a, c in pairs:
-                piece = ideal_power(a, ceil(c * p**e), gen_limit=gen_limit)
+            for (a, _), r in zip(pairs, rs):
+                piece = ideal_power(a, r, gen_limit=gen_limit)
                 prod = piece if prod is None else ideal_product(prod, piece)
             got = frobenius_root(prod, e, e_limit=e_limit)
-            cache[e] = got
+            cache[rs, e] = got
         return got
+
+    def term(e: int) -> Ideal:
+        return root_of(tuple(ceil(c * p**e) for _, c in pairs), e)
+
+    def closes(e: int, value: Ideal) -> bool:
+        # Pigeonhole bound: tau is inside the root of prod a_i^(floor(c_i q)
+        # - m_i + 1), so that root inside the chain term proves equality.
+        upper = root_of(tuple(max(floor(c * p**e) - len(a.gens) + 1, 0)
+                              for a, c in pairs), e)
+        return upper is value or is_subset(upper, value, step_limit=step_limit)
+
+    def result(trace: list, stabilized_at: int, certified: bool) -> TauResult:
+        e, value = trace[-1]
+        trace[-1] = (e, value.reduced(step_limit=step_limit))
+        return TauResult(trace[-1][1], stabilized_at, certified, tuple(trace))
 
     a0, b = _phase_of(p, lcm(*(c.denominator for _, c in pairs)))
 
@@ -227,15 +261,16 @@ def _scan_chain_general(pairs, params: TauParams, *, gen_limit, step_limit, e_li
     e = params.e_min
     while e <= params.e_max:
         value = term(e)
-        if trace and value == trace[-1][1]:
-            run += 1
-        else:
-            run = 1
         trace.append((e, value))
+        if closes(e, value):
+            return result(trace, e, True)
+        run = run + 1 if len(trace) > 1 and value == trace[-2][1] else 1
         if run >= params.plateau:
             # Probe past the level where the ceilings of c*p^e settle into
-            # their periodic pattern; a plateau that fails a reachable probe
-            # is premature, so resume from the first level that moved.  The
+            # their periodic pattern; a probe with the plateau's value where
+            # the bound closes proves the plateau, and a plateau that fails a
+            # reachable probe is premature, so resume from the first level
+            # that moved (unless the bound closes there).  The
             # probes are best-effort: anything beyond a small work bound is
             # skipped rather than ground out.
             moved = None
@@ -249,11 +284,15 @@ def _scan_chain_general(pairs, params: TauParams, *, gen_limit, step_limit, e_li
                         if term(probe) != value:
                             moved = probe
                             break
+                        if probe > e and closes(probe, value):
+                            return result(trace, e - run + 1, True)
                     except ResourceLimitError:
                         break
             if moved is None:
-                return TauResult(value, e - run + 1, False, tuple(trace))
+                return result(trace, e - run + 1, False)
             trace.append((moved, term(moved)))
+            if closes(moved, term(moved)):
+                return result(trace, moved, True)
             e = moved
             run = 1
         e += 1

@@ -204,11 +204,21 @@ def test_missing_file_is_input_error():
     assert code == 2
 
 
-def test_resource_limit_exit(job_path):
-    code, _, err = invoke(["tau", "-i", job_path, "--ideal", "f", "--c", "1/2",
+def test_resource_limit_exit(cusp_path):
+    # 5/6 is the cusp's F-pure threshold at p=7, a jump, where the chain and
+    # its upper bound never meet; one level shows no plateau either.
+    code, _, err = invoke(["tau", "-i", cusp_path, "--ideal", "f", "--c", "5/6",
                            "--e-max", "1"])
     assert code == 4
     assert "stabilize" in err
+
+
+def test_overlong_number_is_input_error():
+    code, out, err = invoke(["gb", "-i", "-", "--ideal", "a"],
+                            stdin_text="ring p=2 vars=x\nideal a = x^" + "9" * 5000 + "\n")
+    assert code == 2, err
+    assert out == ""
+    assert "number too long" in err and "Traceback" not in err
 
 
 def test_stdin_input():

@@ -99,6 +99,8 @@ _BIG = f"x^{EXP_LIMIT}"
     # reported at the token after the factor that overflows.
     (_BIG + "*x", "exponent overflow", len(_BIG) + 2),
     (_BIG + " * y*x^2 + y", "exponent overflow", len(_BIG) + 9),
+    # Past the interpreter's limit on the digits int() reads.
+    ("x + x^" + "9" * 5000, "number too long", 6),
 ])
 def test_parse_error_table(text, message, offset):
     with pytest.raises(PolyParseError) as exc:

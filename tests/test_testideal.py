@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb, floor
 
 import pytest
 
 from fjump import (Ideal, InconclusiveError, PreconditionError, TauParams,
-                   degree_bound_check, ideal_intersect, ideal_power,
-                   ideal_product, ideal_sum, integral_closure_monomial,
-                   is_subset, skoda_reduce)
+                   degree_bound_check, frobenius_root, ideal_intersect,
+                   ideal_power, ideal_product, ideal_sum,
+                   integral_closure_monomial, is_subset, skoda_reduce)
 from fjump import mixed_test_ideal as tau_mixed
 from fjump import test_ideal as tau
 from fjump import test_ideal_chain as raw_chain
@@ -299,9 +299,96 @@ def test_near_jump_exponents_resolve_correctly():
 
 
 def test_general_results_are_flagged_heuristic():
-    result = tau(R2.ideal("x^2+x*y"), Fraction(1, 2))
-    assert not result.certified
-    assert result.chain_trace
+    # The two-sided bound closes here, so the result is proven and is the
+    # raw chain term at the level where the bound closed.
+    a = R2.ideal("x^2+x*y")
+    result = tau(a, Fraction(1, 2))
+    assert result.certified
+    assert result.ideal == R2.ideal("1")
+    assert result.chain_trace[-1][1] is result.ideal
+    assert raw_chain(a, Fraction(1, 2), result.stabilized_at)[-1][1] == result.ideal
+
+
+def test_premature_plateaus_stay_uncertified():
+    # The chain repeats before the bound closes and the phase probes are
+    # beyond their work cap, so these plateaus are accepted unproven (and
+    # are wrong: the first is (x, y), the other two are R).
+    R7 = ring(7, "x", "y")
+    for a, c in ((R7.ideal("x^4+y^4"), Fraction(7, 10)),
+                 (R7.ideal("x^2+y^3"), Fraction(33, 40)),
+                 (R2.ideal("x^2+x*y"), Fraction(99, 100))):
+        assert not tau(a, c).certified, (a, c)
+
+
+def test_chain_scanned_results_are_reduced_bases():
+    for a, c in ((ring(7, "x", "y").ideal("x^2+y^3"), Fraction(4, 5)),
+                 (R2.ideal("x^2+x*y"), Fraction(1, 2)),
+                 (R3.ideal("x^2+y^2", "x*y"), Fraction(5, 7))):
+        result = tau(a, c)
+        gb = result.ideal.groebner_basis()
+        assert result.ideal.gens == gb.polys
+        assert result.chain_trace[-1][1] is result.ideal
+    assert [str(g) for g in tau(ring(7, "x", "y").ideal("x^2+y^3"),
+                                Fraction(4, 5)).ideal.gens] == ["1"]
+
+
+_BOUND_TERMS = 3_000
+
+
+def _affordable(a, c, e):
+    # Expanding a^r costs about (r+1) products of powers of two generators
+    # with t terms each; skip levels past a few thousand terms.
+    r = ceil(c * a.ring.p**e)
+    t = max(g.num_terms() for g in a.gens)
+    return (r + 1) * comb(r + t - 1, t - 1) <= _BOUND_TERMS
+
+
+def _random_two_generator_ideal(rnd, R):
+    while True:
+        gens = []
+        for _ in range(2):
+            f = R.zero()
+            for _ in range(rnd.randint(1, 3)):
+                exps = [0] * R.nvars
+                for _ in range(rnd.randint(1, 3)):
+                    exps[rnd.randrange(R.nvars)] += 1
+                f = f + R.monomial(tuple(exps), rnd.randint(1, R.p - 1))
+            gens.append(f)
+        a = Ideal(R, gens)
+        if len(a.gens) == 2 and not all(g.is_term() for g in a.gens):
+            return a
+
+
+def test_upper_bound_contains_the_chain():
+    # tau(a^c) lies inside U_e = (a^max(floor(c q) - m + 1, 0))^[1/q], so
+    # every raw chain term does; a certified result is the chain term at
+    # stabilized_at and at every deeper level.
+    rnd = random.Random(113)
+    certified = 0
+    for _ in range(40):
+        R = R2 if rnd.random() < 0.5 else R3
+        a = _random_two_generator_ideal(rnd, R)
+        den = rnd.choice([2, 3, 4, 5, 6, 12])
+        c = Fraction(rnd.randint(1, 2 * den - 1), den)  # below m, so no Skoda
+        levels = [e for e in range(1, 7) if _affordable(a, c, e)]
+        if not levels:
+            continue
+        chain = dict(raw_chain(a, c, levels[-1]))
+        for e in levels:
+            q = R.p**e
+            upper = frobenius_root(ideal_power(a, max(floor(c * q) - 1, 0)), e)
+            for e2 in levels[levels.index(e):]:
+                assert is_subset(chain[e2], upper), (a, c, e, e2)
+        try:
+            got = tau(a, c)
+        except InconclusiveError:
+            continue
+        if got.certified:
+            certified += 1
+            assert raw_chain(a, c, got.stabilized_at)[-1][1] == got.ideal
+            if levels[-1] >= got.stabilized_at:
+                assert chain[levels[-1]] == got.ideal
+    assert certified >= 10
 
 
 def test_inconclusive_chain_carries_partial_data():
