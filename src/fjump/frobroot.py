@@ -16,7 +16,7 @@ depend on the chosen generators.
 from __future__ import annotations
 
 from .errors import FjumpError, ResourceLimitError
-from .groebner import Ideal
+from .groebner import Ideal, ideal_product
 from .multipoly import GREVLEX, Poly
 
 E_LIMIT = 64
@@ -45,27 +45,49 @@ def frobenius_root(b: Ideal, e: int, *, e_limit: int | None = None) -> Ideal:
     if e == 0:
         return b
     ring = b.ring
-    q = ring.p ** e
-    gens: list[Poly] = []
+    p = ring.p
+    q = p ** e
+    key = GREVLEX.key
+    # Each generator's exponents v = q*w + u are distinct, so a bucket holds
+    # every w once; the monic buckets are kept as term tuples, descending.
+    mod, div = q.__rmod__, q.__rfloordiv__  # v -> v % q, v -> v // q
+    monic: set = set()
     for h in b.gens:
         buckets: dict = {}
         for exps, c in h._terms.items():
-            u = tuple(v % q for v in exps)
-            w = tuple(v // q for v in exps)
-            bucket = buckets.setdefault(u, {})
-            nc = (bucket.get(w, 0) + c) % ring.p
-            if nc:
-                bucket[w] = nc
-            else:
-                bucket.pop(w, None)
-        for bucket in buckets.values():
-            if bucket:
-                inv = ring.field.inv(bucket[max(bucket, key=GREVLEX.key)])
-                gens.append(Poly._make(ring, {w: c * inv % ring.p
-                                              for w, c in bucket.items()}))
-    gens = sorted(set(gens), key=lambda f: (GREVLEX.key(f.lead_term()[0]),
-                                            f.sorted_terms()))
-    return Ideal(ring, gens)
+            buckets.setdefault(tuple(map(mod, exps)), []).append(
+                (tuple(map(div, exps)), c))
+        for terms in buckets.values():
+            if len(terms) == 1:
+                monic.add(((terms[0][0], 1),))
+                continue
+            terms.sort(key=lambda t: key(t[0]), reverse=True)
+            inv = ring.field.inv(terms[0][1])
+            monic.add(tuple((w, c * inv % p) for w, c in terms))
+    return Ideal(ring, [Poly._make(ring, dict(t))
+                        for t in sorted(monic, key=lambda t: (key(t[0][0]), t))])
+
+
+def power_root(f: Poly, r: int, e: int, *, e_limit: int | None = None) -> Ideal:
+    """(f^r)^[1/p^e] by digit descent, without expanding f^r.
+
+    With r = d + p*s, f^r = f^d * (f^s)^p and (g^p * h)^[1/p] = g * h^[1/p],
+    so the level-e root is e level-1 roots, the k-th taken after multiplying
+    by f^(d_k) for the base-p digits d_k of r, least significant first; the
+    part of r above p^e comes back as the factor f^floor(r/p^e)."""
+    _check_e(e, e_limit)
+    if r < 0:
+        raise FjumpError("powers need a nonnegative exponent")
+    ring = f.ring
+    out = Ideal(ring, [ring.one()])
+    for _ in range(e):
+        r, d = divmod(r, ring.p)
+        if d:
+            out = ideal_product(out, Ideal(ring, [f ** d]))
+        out = frobenius_root(out, 1, e_limit=e_limit)
+    if r:
+        out = ideal_product(out, Ideal(ring, [f ** r]))
+    return out
 
 
 def root_scaled(b: Ideal, e_num: int, e_den: int, *, e_limit: int | None = None) -> Ideal:

@@ -1,16 +1,15 @@
-"""Arithmetic in the prime field F_p, including p^e-th roots of coefficients.
+"""Arithmetic in the prime field F_p.
 
 Residues are plain ints in [0, p); :class:`PrimeField` provides the modular
-arithmetic on them and :class:`FieldElem` wraps a residue as an immutable
-value with operator overloading.  Because F_p is perfect, the Frobenius map
-c -> c^p is the identity (Fermat), so p^e-th roots of coefficients are free.
+arithmetic on them.  Because F_p is perfect, the Frobenius map c -> c^p is
+the identity (Fermat), so p^e-th roots of coefficients are free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FjumpError, RingMismatchError
+from .errors import FjumpError
 
 
 def is_prime(n: int) -> bool:
@@ -29,21 +28,15 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The coefficient field F_p.
-
-    ``ext_degree`` is fixed to 1: extension fields F_{p^k} are not part of
-    the supported scope (the basis of the field over its p^e-th powers is
-    {1}, which keeps root extraction trivial).
-    """
+    """The coefficient field F_p.  Extension fields F_{p^k} are out of
+    scope: over F_p the basis of the field over its p^e-th powers is {1},
+    which keeps root extraction trivial."""
 
     p: int
-    ext_degree: int = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise FjumpError(f"characteristic must be prime, got {self.p}")
-        if self.ext_degree != 1:
-            raise FjumpError("extension fields F_{p^k} are not supported")
 
     # Residue-level arithmetic (used heavily by the polynomial layer).
 
@@ -71,93 +64,5 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def root(self, a: int, e: int) -> int:
-        """The unique r with r^(p^e) = a.
-
-        Frobenius is bijective on F_p and fixes every element, so the root
-        is a itself.  (Over F_{p^k} this would be k-1 Frobenius iterations
-        per level; that scope is excluded.)
-        """
-        if e < 0:
-            raise FjumpError("root level must be non-negative")
-        return a % self.p
-
-    def elem(self, value: int) -> "FieldElem":
-        return FieldElem(self, value)
-
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, 0)
-
-    def one(self) -> "FieldElem":
-        return FieldElem(self, 1)
-
-    def elements(self):
-        for v in range(self.p):
-            yield FieldElem(self, v)
-
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-class FieldElem:
-    """An immutable residue in [0, p) with exact modular arithmetic."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value % field.p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
-
-    def _check(self, other: "FieldElem"):
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.field != self.field:
-            raise RingMismatchError("operands live in different prime fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.value * other.value)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElem(self.field, -self.value)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return FieldElem(self.field, pow(self.field.inv(self.value), -n, self.field.p))
-        return FieldElem(self.field, pow(self.value, n, self.field.p))
-
-    def pe_root(self, e: int) -> "FieldElem":
-        """The unique element whose p^e-th power is this one."""
-        return FieldElem(self.field, self.field.root(self.value, e))
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"F{self.field.p}({self.value})"
-
-    def __str__(self):
-        return str(self.value)

@@ -328,10 +328,6 @@ def is_subset(I: Ideal, J: Ideal, *, step_limit: int | None = None) -> bool:
     return all(normal_form(g, gb).is_zero() for g in I.gens)
 
 
-def ideals_equal(I: Ideal, J: Ideal) -> bool:
-    return I == J
-
-
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     ring = _check_same_ring(I, J)
     return Ideal(ring, I.gens + J.gens)

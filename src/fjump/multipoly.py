@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import FjumpError, PolyParseError, ResourceLimitError, RingMismatchError
 from .gfp import PrimeField
@@ -141,47 +141,6 @@ class RingCtx:
         return f"RingCtx(F_{self.p}[{', '.join(self.var_names)}])"
 
 
-class Monomial:
-    """An exponent vector in a fixed ring (a power product of variables)."""
-
-    __slots__ = ("ring", "exps")
-
-    def __init__(self, ring: RingCtx, exps: Sequence[int]):
-        exps = tuple(exps)
-        if len(exps) != ring.nvars:
-            raise RingMismatchError("exponent vector length does not match the ring")
-        if any(e < 0 for e in exps):
-            raise FjumpError("monomial exponents must be nonnegative")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "exps", exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.ring, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.ring, tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.ring == other.ring and self.exps == other.exps
-
-    def __hash__(self):
-        return hash((self.ring, self.exps))
-
-    def __repr__(self):
-        return f"Monomial({_format_term(self.ring, self.exps, 1)})"
-
-
 class Poly:
     """A polynomial in canonical sparse form: no zero coefficients, no
     duplicate monomials, deterministic term iteration."""
@@ -247,10 +206,6 @@ class Poly:
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[tuple[int, ...], int]]:
         """Terms as (exponents, coefficient), descending under ``order``."""
         return [(e, self._terms[e]) for e in sorted(self._terms, key=order.key, reverse=True)]
-
-    def terms(self, order: MonomialOrder = GREVLEX) -> Iterator[tuple[Monomial, int]]:
-        for e, c in self.sorted_terms(order):
-            yield Monomial(self.ring, e), c
 
     def lead_term(self, order: MonomialOrder = GREVLEX) -> tuple[tuple[int, ...], int]:
         if not self._terms:

@@ -1,6 +1,6 @@
 """Exact helpers on nonnegative rationals: Stern-Brocot search for the
-simplest fraction in an interval, Farey neighbours, multiplicative orders,
-and the command-line rational syntax ``num`` / ``num/den``."""
+simplest fraction in an interval, multiplicative orders, and the
+command-line rational syntax ``num`` / ``num/den``."""
 
 from __future__ import annotations
 
@@ -64,38 +64,6 @@ def simplest_between(lo: Fraction, hi: Fraction, *, include_lo: bool = False,
     if lo == hi:
         return lo
     return _simplest_in_unit(lo, hi, include_lo, include_hi)
-
-
-def _farey_left_neighbor(x: Fraction, max_den: int) -> Fraction:
-    # Largest a/b < x with b <= max_den, where den(x) <= max_den.
-    n, d = x.numerator, x.denominator
-    if d > max_den:
-        raise FjumpError("neighbour of a fraction beyond the Farey level")
-    if n == 0:
-        raise FjumpError("no nonnegative rational below 0")
-    # a/b with n*b - a*d = 1, so b = n^{-1} mod d; maximise b <= max_den.
-    if d == 1:
-        b = max_den
-        return Fraction(n * b - 1, b)
-    b0 = pow(n, -1, d)
-    b = b0 + ((max_den - b0) // d) * d
-    return Fraction((n * b - 1) // d, b)
-
-
-def best_below(x: Fraction, max_den: int) -> Fraction:
-    """The largest rational strictly below ``x`` with denominator <= max_den."""
-    x = Fraction(x)
-    if max_den < 1:
-        raise FjumpError("denominator bound must be >= 1")
-    if x <= 0:
-        raise FjumpError("no nonnegative rational below 0")
-    if x.denominator <= max_den:
-        return _farey_left_neighbor(x, max_den)
-    approx = x.limit_denominator(max_den)
-    if approx < x:
-        return approx
-    # Closest fraction sits above x; its left Farey neighbour brackets x.
-    return _farey_left_neighbor(approx, max_den)
 
 
 def multiplicative_order(p: int, t: int, *, limit: int = 2_000_000) -> int:

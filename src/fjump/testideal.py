@@ -23,6 +23,10 @@ enough.  Results carry a ``certified`` flag:
   repeating ``plateau`` times in a row and surviving a few probes at
   levels in phase with the denominator of c.  A plateau can be premature,
   and it is reported with certified = False.
+* For a hypersurface (f), f not a monomial, at c = r/p^a with a >= 1 the
+  chain is constant from level a on, so tau(f^c) = (f^r)^[1/p^a] (BMS).  It
+  is computed by digit descent (``frobroot.power_root``), never expanding
+  f^r, and certified without a scan.
 
 Exponents c >= the number of generators are first peeled down by Skoda's
 theorem, tau(a^c) = a * tau(a^(c-1)).
@@ -36,7 +40,7 @@ from math import ceil, comb, floor, lcm
 
 from .errors import (FjumpError, InconclusiveError, PreconditionError,
                      ResourceLimitError)
-from .frobroot import frobenius_root
+from .frobroot import frobenius_root, power_root
 from .groebner import (Ideal, generated_in_degree, ideal_power, ideal_product,
                        is_subset)
 from .multipoly import RingCtx
@@ -68,16 +72,18 @@ class TauResult:
     """A computed test ideal.
 
     ``certified`` is True only when a theorem proves the result: the
-    Newton-polyhedron closed form for monomial inputs, the two-sided chain
-    bound otherwise.  Then ``stabilized_at`` is a chain level from which the
-    chain provably equals the result: for general ideals the level where
-    the bound closed, or the first level of a plateau whose value a deeper
-    probe proved.  For an uncertified result it is the first level of the
+    Newton-polyhedron closed form for monomial inputs, tau(f^(r/p^a)) =
+    (f^r)^[1/p^a] for a hypersurface at a p-power denominator, the
+    two-sided chain bound otherwise.  Then ``stabilized_at`` is a chain
+    level from which the chain provably equals the result: max(a, e_min)
+    for the p-power formula; for general ideals the level where the bound
+    closed, or the first level of a plateau whose value a deeper probe
+    proved.  For an uncertified result it is the first level of the
     accepted plateau.  ``chain_trace`` lists the inspected (e, ideal)
-    pairs in ascending order, and is empty when no chain term was
-    evaluated.  A chain-scanned result is the same object as the last trace
-    entry; unless Skoda reduction scaled it, it is generated by its reduced
-    grevlex basis.
+    pairs in ascending order (one pair for the p-power formula), and is
+    empty when no chain term was evaluated.  Whenever it is not empty, the
+    result is the same object as the last trace entry and is generated by
+    its reduced grevlex basis, Skoda-scaled or not.
     """
 
     ideal: Ideal
@@ -163,9 +169,14 @@ def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
     if s == 0:
         return inner
     scale = ideal_power(a, s, gen_limit=gen_limit)
-    trace = tuple((e, ideal_product(scale, T)) for e, T in inner.chain_trace)
-    ideal = trace[-1][1] if trace else ideal_product(scale, inner.ideal)
-    return TauResult(ideal, inner.stabilized_at, inner.certified, trace)
+    if not inner.chain_trace:  # the monomial closed form
+        return TauResult(ideal_product(scale, inner.ideal), inner.stabilized_at,
+                         inner.certified)
+    trace = [(e, ideal_product(scale, T)) for e, T in inner.chain_trace]
+    e, last = trace[-1]
+    trace[-1] = (e, last.reduced(step_limit=step_limit))
+    return TauResult(trace[-1][1], inner.stabilized_at, inner.certified,
+                     tuple(trace))
 
 
 def mixed_test_ideal(pairs, params: TauParams | None = None, *,
@@ -211,11 +222,21 @@ def _monomial_groups(pairs):
 
 
 def _scan_chain(pairs, params: TauParams, *, gen_limit, step_limit, e_limit):
+    ring = pairs[0][0].ring
     groups = _monomial_groups(pairs)
     if groups is not None:
-        ring = pairs[0][0].ring
         vecs, stab = tau_vectors(groups, ring.p, params.e_min)
         return TauResult(monomial_ideal(ring, vecs), stab, True)
+    if len(pairs) == 1 and len(pairs[0][0].gens) == 1:
+        (a, c), = pairs
+        level, rest = _split_p(ring.p, c.denominator)
+        if level and rest == 1:
+            # tau(f^(r/p^a)) = (f^r)^[1/p^a] (BMS), the chain term at every
+            # level from a on.
+            value = power_root(a.gens[0], c.numerator, level,
+                               e_limit=e_limit).reduced(step_limit=step_limit)
+            e = max(level, params.e_min)
+            return TauResult(value, e, True, ((e, value),))
     return _scan_chain_general(pairs, params, gen_limit=gen_limit,
                                step_limit=step_limit, e_limit=e_limit)
 
@@ -322,14 +343,19 @@ def _probe_affordable(pairs, p: int, e: int) -> bool:
     return True
 
 
+def _split_p(p: int, den: int) -> tuple[int, int]:
+    """den = p^a0 * rest with rest prime to p."""
+    a0 = 0
+    while den % p == 0:
+        den //= p
+        a0 += 1
+    return a0, den
+
+
 def _phase_of(p: int, den: int):
     """Split den = p^a0 * t and return (a0, ord of p mod t); the order is
     None when it is out of reach (then phase-matched probing is impossible)."""
-    a0 = 0
-    rest = den
-    while rest % p == 0:
-        rest //= p
-        a0 += 1
+    a0, rest = _split_p(p, den)
     try:
         return a0, multiplicative_order(p, rest, limit=100_000)
     except ResourceLimitError:

@@ -10,6 +10,13 @@ a^{v+1} is inside J^[q], then any product of q'(v+1) + m(q'-1) generators
 contains some generator q' times, so a^{q'(v+1)+m(q'-1)} lies in
 (a^{v+1})^[q'] and hence in J^[qq'], giving nu(qq') < q'(v+1+m).
 
+a^r lies in J^[q] exactly when its root (a^r)^[1/q] lies in J, so nu needs
+J's Groebner basis and roots only.  For a hypersurface (f), nu(pq) lies in
+[p nu(q), p nu(q) + p - 1] (Mustata-Takagi-Watanabe), so nu is walked up
+one base-p digit per level from nu(1) = ell - 1, ell the least power of f
+inside J, each root taken by digit descent without expanding f^r.  Other
+ideals bisect r at each level.
+
 Jumping exponents of the test-ideal family are located by bisecting on
 test-ideal equality (the family is constant between jumps and
 right-continuous), then snapping to the smallest-denominator rational in
@@ -24,7 +31,7 @@ from fractions import Fraction
 from math import ceil, comb
 
 from .errors import PreconditionError, ResourceLimitError
-from .frobroot import frobenius_root
+from .frobroot import _check_e, frobenius_root, power_root
 from .groebner import Ideal, ideal_power, normal_form, radical_member
 from .oracle import minimal_vectors, monomial_exponents
 from .ratutil import multiplicative_order, simplest_between
@@ -121,13 +128,69 @@ def _check_nu_preconditions(a: Ideal, J: Ideal):
                 f"a must lie in rad(J): generator {g} does not")
 
 
-def _smallest_containment_power(a: Ideal, J: Ideal, *, gen_limit, step_limit) -> int:
+def _nu_setup(a: Ideal, J: Ideal, *, gen_limit, step_limit):
+    """Check the preconditions; return J's basis and the least ell with
+    a^ell inside J, so that nu(1) = ell - 1."""
+    _check_nu_preconditions(a, J)
     gb = J.groebner_basis(step_limit=step_limit)
     for ell in range(1, _MAX_ELL + 1):
-        power = ideal_power(a, ell, gen_limit=gen_limit)
-        if all(normal_form(g, gb).is_zero() for g in power.gens):
-            return ell
+        if not _escapes(ideal_power(a, ell, gen_limit=gen_limit), gb):
+            return gb, ell
     raise ResourceLimitError(f"no power of a inside J up to {_MAX_ELL}")
+
+
+def _escapes(b: Ideal, gb) -> bool:
+    return not all(normal_form(g, gb).is_zero() for g in b.gens)
+
+
+def _hypersurface(a: Ideal):
+    """The generator of a = (f) when f is not a monomial, else None."""
+    if len(a.gens) == 1 and not a.gens[0].is_term():
+        return a.gens[0]
+    return None
+
+
+def _nu_bisect(a: Ideal, gb, ell: int, e: int, *, gen_limit, e_limit) -> int:
+    q = a.ring.p ** e
+    top = ell * (len(a.gens) * (q - 1) + 1)  # containment holds here
+    lo = 0
+    while lo < top:
+        mid = (lo + top) // 2
+        root = frobenius_root(ideal_power(a, mid, gen_limit=gen_limit), e,
+                              e_limit=e_limit)
+        if _escapes(root, gb):
+            lo = mid + 1
+        else:
+            top = mid
+    return max(lo - 1, 0)
+
+
+def _nu_walk(f, gb, ell: int, e_max: int, *, e_limit) -> list[int]:
+    """nu(p^e) of (f) for e = 1..e_max, one base-p digit per level: nu(pq)
+    lies in [p nu(q), p nu(q) + p - 1] (MTW), its bottom holds by flatness
+    of Frobenius, and the window is tested from the top."""
+    _check_e(e_max, e_limit)
+    p = f.ring.p
+    out = []
+    v = ell - 1
+    for e in range(1, e_max + 1):
+        base = p * v
+        v = next((r for r in range(base + p - 1, base, -1)
+                  if _escapes(power_root(f, r, e, e_limit=e_limit), gb)), base)
+        out.append(v)
+    return out
+
+
+def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
+               gen_limit, step_limit, e_limit) -> list[int]:
+    """nu(p^e) for e = e_min..e_max, with the preconditions, J's basis and
+    ell computed once."""
+    gb, ell = _nu_setup(a, J, gen_limit=gen_limit, step_limit=step_limit)
+    f = _hypersurface(a)
+    if f is not None:
+        return _nu_walk(f, gb, ell, e_max, e_limit=e_limit)[e_min - 1:]
+    return [_nu_bisect(a, gb, ell, e, gen_limit=gen_limit, e_limit=e_limit)
+            for e in range(e_min, e_max + 1)]
 
 
 def nu(a: Ideal, J: Ideal, e: int, *,
@@ -139,30 +202,14 @@ def nu(a: Ideal, J: Ideal, e: int, *,
     Containment of a^r in the bracket power is equivalent to the level-e
     root of a^r landing inside J (that is exactly the minimality in the
     definition of the root), so only one Groebner basis -- J's -- is ever
-    needed; the search over r is binary."""
+    needed.  For a = (f) with f not a monomial, nu is walked up from
+    nu(1) = ell - 1 one base-p digit per level, each root taken by digit
+    descent (``power_root``); otherwise r is bisected over
+    [0, ell (m (q - 1) + 1)], m the generator count."""
     if e < 1:
         raise PreconditionError("nu needs e >= 1")
-    _check_nu_preconditions(a, J)
-    q = a.ring.p ** e
-    gb = J.groebner_basis(step_limit=step_limit)
-    ell = _smallest_containment_power(a, J, gen_limit=gen_limit,
-                                      step_limit=step_limit)
-    s = len(a.gens)
-    hi = ell * (s * (q - 1) + 1)  # containment holds here, see module docstring
-
-    def contained(r: int) -> bool:
-        root = frobenius_root(ideal_power(a, r, gen_limit=gen_limit), e,
-                              e_limit=e_limit)
-        return all(normal_form(g, gb).is_zero() for g in root.gens)
-
-    lo, top = 0, hi
-    while lo < top:
-        mid = (lo + top) // 2
-        if contained(mid):
-            top = mid
-        else:
-            lo = mid + 1
-    return max(lo - 1, 0)
+    return _nu_levels(a, J, e, e, gen_limit=gen_limit, step_limit=step_limit,
+                      e_limit=e_limit)[0]
 
 
 def f_threshold(a: Ideal, J: Ideal, e_max: int, *,
@@ -170,14 +217,13 @@ def f_threshold(a: Ideal, J: Ideal, e_max: int, *,
                 gen_limit: int | None = None,
                 step_limit: int | None = None,
                 e_limit: int | None = None) -> ThresholdEstimate:
-    """Bracket the F-threshold of a at J from the levels e = 1..e_max."""
+    """Bracket the F-threshold of a at J from the levels e = 1..e_max; the
+    nu records are computed as in ``nu``, with one walk for a = (f)."""
     if e_max < 1:
         raise PreconditionError("f_threshold needs e_max >= 1")
-    records = []
-    for e in range(1, e_max + 1):
-        records.append(NuRecord(e, a.ring.p ** e, nu(a, J, e, gen_limit=gen_limit,
-                                                     step_limit=step_limit,
-                                                     e_limit=e_limit)))
+    nus = _nu_levels(a, J, 1, e_max, gen_limit=gen_limit,
+                     step_limit=step_limit, e_limit=e_limit)
+    records = [NuRecord(e, a.ring.p ** e, v) for e, v in enumerate(nus, 1)]
     for prev, nxt in zip(records, records[1:]):
         # guaranteed by flatness of Frobenius; a violation is a library bug
         assert Fraction(prev.nu, prev.q) <= Fraction(nxt.nu, nxt.q)

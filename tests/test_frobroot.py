@@ -4,7 +4,8 @@ import pytest
 
 from fjump import (Ideal, ResourceLimitError, bracket_power, frobenius_root,
                    ideal_intersect, ideal_power, ideal_product, ideal_sum,
-                   is_member, is_subset, root_monomial, root_scaled)
+                   is_member, is_subset, power_root, root_monomial,
+                   root_scaled)
 
 from conftest import random_ideal, random_monomial_ideal, random_poly, ring
 
@@ -31,6 +32,19 @@ def test_root_generators_are_monic_and_distinct():
     # differ by a unit; only one generator is kept.
     R7 = ring(7, "x")
     assert frobenius_root(R7.ideal("x^7 + 2*x^8"), 1).gens == (R7.poly("x"),)
+
+
+def test_power_root_matches_the_literal_root():
+    rnd = random.Random(47)
+    for _ in range(120):
+        p = rnd.choice([2, 3, 5, 7])
+        R = ring(p, "x", "y")
+        f = random_poly(rnd, R, max_degree=4, max_terms=4)
+        e = rnd.randint(0, 3)
+        r = rnd.randint(0, 2 * p**e)
+        assert power_root(f, r, e) == frobenius_root(ideal_power(Ideal(R, [f]), r), e)
+    with pytest.raises(ResourceLimitError):
+        power_root(R2.poly("x+y"), 1, 9, e_limit=8)
 
 
 def test_root_minimality_on_the_derived_example():

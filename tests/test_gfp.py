@@ -1,6 +1,6 @@
 import pytest
 
-from fjump import FjumpError, PrimeField, RingMismatchError, is_prime
+from fjump import FjumpError, PrimeField, RingCtx, frobenius_root, is_prime
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -16,57 +16,42 @@ def test_rejects_composites(n):
 
 
 def test_examples_from_small_fields():
-    F5 = PrimeField(5)
-    assert (F5.elem(3) + F5.elem(4)).value == 2
-    F2 = PrimeField(2)
-    assert (F2.elem(1) * F2.elem(1)).value == 1
-    F7 = PrimeField(7)
-    assert (F7.elem(3) / F7.elem(5)).value == 2
+    assert PrimeField(5).add(3, 4) == 2
+    assert PrimeField(2).mul(1, 1) == 1
+    assert PrimeField(7).div(3, 5) == 2
 
 
 def test_division_by_zero():
     F = PrimeField(5)
     with pytest.raises(ZeroDivisionError):
-        F.elem(3) / F.elem(0)
+        F.div(3, 0)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
-
-
-def test_field_mismatch():
-    with pytest.raises(RingMismatchError):
-        PrimeField(5).elem(1) + PrimeField(7).elem(1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(p):
     F = PrimeField(p)
-    elems = list(F.elements())
-    for a in elems:
-        for b in elems:
-            assert a + b == b + a
-            assert a * b == b * a
-            if not b.is_zero():
-                assert (a / b) * b == a
-            for c in elems:
-                assert (a + b) + c == a + (b + c)
-                assert a * (b + c) == a * b + a * c
+    for a in range(p):
+        for b in range(p):
+            assert F.add(a, b) == F.add(b, a)
+            assert F.mul(a, b) == F.mul(b, a)
+            assert F.add(F.sub(a, b), b) == a
+            assert F.add(a, F.neg(a)) == 0
+            if b:
+                assert F.mul(F.div(a, b), b) == a
+            for c in range(p):
+                assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 @pytest.mark.parametrize("e", [0, 1, 2, 7])
 def test_pe_root_inverts_frobenius(p, e):
-    F = PrimeField(p)
-    for c in F.elements():
-        r = c.pe_root(e)
-        assert r ** (p**e) == c
-
-
-def test_pe_root_examples():
-    assert PrimeField(3).elem(2).pe_root(1).value == 2
-    assert PrimeField(5).elem(0).pe_root(3).value == 0
-    assert PrimeField(2).elem(1).pe_root(7).value == 1
-
-
-def test_extension_fields_out_of_scope():
-    with pytest.raises(FjumpError):
-        PrimeField(5, ext_degree=2)
+    # Coefficients are their own p^e-th roots over F_p, so the root of the
+    # bracket power of (x + c y) is (x + c y) itself, for every c.
+    R = RingCtx(PrimeField(p), ("x", "y"))
+    for c in range(p):
+        f = R.poly("x") + R.monomial((0, 1), c)
+        assert pow(c, p**e, p) == c
+        assert frobenius_root(R.ideal(f.frobenius(e)), e).gens == (f,)

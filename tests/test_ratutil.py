@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fjump import FjumpError, best_below, parse_rational, simplest_between
+from fjump import FjumpError, parse_rational, simplest_between
 from fjump.ratutil import format_rational, multiplicative_order
 
 
@@ -60,29 +60,6 @@ def test_simplest_between_brute_force():
             continue
         got = simplest_between(lo, hi, include_lo=inc_lo, include_hi=inc_hi)
         assert got == want, (lo, hi, inc_lo, inc_hi)
-
-
-def test_best_below_brute_force():
-    rnd = random.Random(88)
-    for _ in range(400):
-        x = Fraction(rnd.randint(1, 300), rnd.randint(1, 60))
-        D = rnd.randint(1, 50)
-        got = best_below(x, D)
-        best = None
-        for d in range(1, D + 1):
-            n = (x * d).__ceil__() - 1
-            while Fraction(n, d) >= x:
-                n -= 1
-            if n >= 0 and (best is None or Fraction(n, d) > best):
-                best = Fraction(n, d)
-        assert got == best, (x, D)
-
-
-def test_best_below_large_denominator():
-    x = Fraction(1, 3)
-    got = best_below(x, 960)
-    assert got < x and got.denominator <= 960
-    assert best_below(Fraction(2), 10) == Fraction(19, 10)
 
 
 def test_multiplicative_order():

@@ -321,15 +321,49 @@ def test_premature_plateaus_stay_uncertified():
 
 
 def test_chain_scanned_results_are_reduced_bases():
+    # The last two are scaled by Skoda's theorem: a^2 * tau(a^(1/2)) and
+    # f * tau(f^(2/7)).
     for a, c in ((ring(7, "x", "y").ideal("x^2+y^3"), Fraction(4, 5)),
                  (R2.ideal("x^2+x*y"), Fraction(1, 2)),
-                 (R3.ideal("x^2+y^2", "x*y"), Fraction(5, 7))):
+                 (R3.ideal("x^2+y^2", "x*y"), Fraction(5, 7)),
+                 (R3.ideal("x^2+y^2", "x*y"), Fraction(5, 2)),
+                 (ring(7, "x", "y").ideal("x^2+y^3"), Fraction(9, 7))):
         result = tau(a, c)
         gb = result.ideal.groebner_basis()
         assert result.ideal.gens == gb.polys
         assert result.chain_trace[-1][1] is result.ideal
     assert [str(g) for g in tau(ring(7, "x", "y").ideal("x^2+y^3"),
                                 Fraction(4, 5)).ideal.gens] == ["1"]
+    assert len(tau(R3.ideal("x^2+y^2", "x*y"), Fraction(5, 2)).ideal.gens) == 5
+
+
+def test_principal_p_power_tau_is_the_chain_term():
+    # tau(f^(r/p^a)) = (f^r)^[1/p^a]: one trace entry, certified, equal to
+    # the raw chain term at stabilized_at and one level past it.
+    rnd = random.Random(61)
+    seen = 0
+    while seen < 30:
+        p = rnd.choice([2, 3, 5, 7])
+        R = ring(p, "x", "y")
+        f = random_poly(rnd, R, max_degree=3, max_terms=3, nonzero=True)
+        if f.is_term():
+            continue
+        level = rnd.randint(1, 3 if p <= 3 else 2)
+        c = Fraction(rnd.randint(1, 2 * p**level - 1), p**level)
+        if c.denominator != p**level:
+            continue
+        e_min = rnd.randint(1, 3)
+        a = Ideal(R, [f])
+        result = tau(a, c, TauParams(e_min=e_min))
+        assert result.certified
+        assert result.stabilized_at == max(level, e_min)
+        assert result.chain_trace == ((result.stabilized_at, result.ideal),)
+        assert result.chain_trace[0][1] is result.ideal
+        assert result.ideal.gens == result.ideal.groebner_basis().polys
+        chain = raw_chain(a, c, result.stabilized_at + 1)
+        assert chain[-2][1] == result.ideal
+        assert chain[-1][1] == result.ideal
+        seen += 1
 
 
 _BOUND_TERMS = 3_000

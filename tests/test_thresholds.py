@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from fjump import (Ideal, PreconditionError, TauParams, denominator_bound,
-                   f_threshold, fpt, is_subset, jumping_exponents, nu,
-                   nu_bruteforce)
+from fjump import (Ideal, PreconditionError, ResourceLimitError, TauParams,
+                   bracket_power, denominator_bound, f_threshold, fpt,
+                   is_member, is_subset, jumping_exponents, nu, nu_bruteforce)
 from fjump import test_ideal as tau
 
-from conftest import random_monomial_ideal, ring
+from conftest import random_monomial_ideal, random_poly, ring
 
 R2 = ring(2, "x", "y")
 R3 = ring(3, "x", "y")
@@ -42,6 +42,8 @@ def test_nu_preconditions():
         nu(Ideal(R2, []), R2.ideal("x"), 1)
     with pytest.raises(PreconditionError):
         nu(R2.ideal("x"), R2.ideal("x"), 0)
+    with pytest.raises(ResourceLimitError):
+        nu(R2.ideal("x^2+y^3"), R2.ideal("x", "y"), 9, e_limit=8)
 
 
 def test_nu_matches_bruteforce_on_small_instances():
@@ -63,6 +65,43 @@ def test_nu_matches_bruteforce_on_small_instances():
         e = rnd.choice([1, 2])
         assert nu(a, J, e) == nu_bruteforce(a, J, e)
         hits += 1
+
+
+def _hypersurfaces(seed, count):
+    # (f, J) with f a non-monomial vanishing at the origin, J the maximal
+    # ideal or the non-monomial m-primary (x + y^s, y^t).
+    rnd = random.Random(seed)
+    while count:
+        p = rnd.choice([2, 3, 5, 7])
+        R = ring(p, "x", "y")
+        f = random_poly(rnd, R, max_degree=4, max_terms=3, nonzero=True)
+        if f.is_term() or f.coeff((0, 0)):
+            continue
+        s, t = rnd.randint(2, 3), rnd.randint(2, 3)
+        for J in (R.ideal("x", "y"), R.ideal(f"x + y^{s}", f"y^{t}")):
+            yield Ideal(R, [f]), J, (3 if p <= 3 else 2)
+        count -= 1
+
+
+def test_principal_nu_meets_its_definition():
+    for a, J, e_max in _hypersurfaces(53, 12):
+        f = a.gens[0]
+        for e in range(1, e_max + 1):
+            v = nu(a, J, e)
+            bracket = bracket_power(J, e)
+            assert not is_member(f**v, bracket)
+            assert is_member(f ** (v + 1), bracket)
+            if e == 1:
+                assert v == nu_bruteforce(a, J, e)
+
+
+def test_threshold_records_equal_per_level_nu():
+    cases = list(_hypersurfaces(59, 6))
+    cases.append((R3.ideal("x^2+y", "x*y"), R3.ideal("x", "y"), 2))
+    for a, J, e_max in cases:
+        est = f_threshold(a, J, e_max)
+        assert [(r.e, r.q, r.nu) for r in est.records] == [
+            (e, a.ring.p**e, nu(a, J, e)) for e in range(1, e_max + 1)]
 
 
 def test_nu_scaling_is_monotone():
