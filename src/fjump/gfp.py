@@ -1,8 +1,9 @@
 """Arithmetic in the prime field F_p.
 
-Residues are plain ints in [0, p); :class:`PrimeField` provides the modular
-arithmetic on them.  Because F_p is perfect, the Frobenius map c -> c^p is
-the identity (Fermat), so p^e-th roots of coefficients are free.
+Residues are plain ints in [0, p), reduced mod p by the polynomial layer
+itself; :class:`PrimeField` checks that p is prime and inverts residues.
+Because F_p is perfect, the Frobenius map c -> c^p is the identity
+(Fermat), so p^e-th roots of coefficients are free.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeField:
     """The coefficient field F_p.  Extension fields F_{p^k} are out of
     scope: over F_p the basis of the field over its p^e-th powers is {1},
@@ -38,31 +39,11 @@ class PrimeField:
         if not is_prime(self.p):
             raise FjumpError(f"characteristic must be prime, got {self.p}")
 
-    # Residue-level arithmetic (used heavily by the polynomial layer).
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def __repr__(self):
         return f"PrimeField({self.p})"

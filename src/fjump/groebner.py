@@ -30,7 +30,7 @@ class Ideal:
     reduced Groebner basis, so ``==`` means mathematical equality.
     """
 
-    __slots__ = ("ring", "gens", "_gb_cache")
+    __slots__ = ("ring", "gens", "_gb")
 
     def __init__(self, ring: RingCtx, gens=()):
         seen = set()
@@ -46,7 +46,7 @@ class Ideal:
             kept.append(g)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(kept))
-        object.__setattr__(self, "_gb_cache", {})
+        object.__setattr__(self, "_gb", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -65,27 +65,26 @@ class Ideal:
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX, *,
                        step_limit: int | None = None) -> "GroebnerBasis":
-        gb = self._gb_cache.get(order)
-        if gb is None:
-            gb = buchberger(self, order, step_limit=step_limit)
-            self._gb_cache[order] = gb
-        return gb
+        # Only the grevlex basis, which equality and membership use, is kept.
+        if order != GREVLEX:
+            return buchberger(self, order, step_limit=step_limit)
+        if self._gb is None:
+            object.__setattr__(self, "_gb", buchberger(self, order,
+                                                       step_limit=step_limit))
+        return self._gb
 
     def reduced(self, *, step_limit: int | None = None) -> "Ideal":
         """The same ideal generated by its reduced grevlex basis, which the
         new Ideal keeps as its cached basis."""
         gb = self.groebner_basis(step_limit=step_limit)
         out = Ideal(self.ring, gb.polys)
-        out._gb_cache[GREVLEX] = gb
+        object.__setattr__(out, "_gb", gb)
         return out
 
     def contains(self, f: Poly) -> bool:
         return is_member(f, self)
 
     __contains__ = contains
-
-    def is_subset_of(self, other: "Ideal") -> bool:
-        return is_subset(self, other)
 
     def __le__(self, other):
         return is_subset(self, other)
@@ -113,7 +112,7 @@ class Ideal:
         return f"Ideal({inner})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroebnerBasis:
     """A reduced basis: monic, pairwise lead-indivisible, tails in normal
     form, sorted ascending by lead monomial."""
@@ -121,12 +120,6 @@ class GroebnerBasis:
     ring: RingCtx
     order: MonomialOrder
     polys: tuple[Poly, ...]
-
-    def reduce(self, f: Poly) -> Poly:
-        return normal_form(f, self)
-
-    def contains(self, f: Poly) -> bool:
-        return normal_form(f, self).is_zero()
 
 
 def _check_same_ring(*ideals: Ideal):
@@ -285,13 +278,16 @@ def buchberger(source, order: MonomialOrder = GREVLEX, *,
         if not any(divides(leads[j], leads[i]) for j in minimal):
             minimal.append(i)
 
-    # Tail-reduce every survivor against the others, then make monic.
+    # Tail-reduce every survivor against the others, then make monic; a
+    # result equal to an input generator is that generator's object.
+    given = {g: g for g in gens}
     final: list[Poly] = []
     for i in minimal:
         others = [basis[j] for j in minimal if j != i]
         nf = _normal_form_dict(basis[i][2], others, keyf, p, budget)
         inv = ring.field.inv(nf[max(nf, key=keyf)])
-        final.append(Poly.from_terms(ring, [(e, c * inv) for e, c in nf.items()]))
+        g = Poly.from_terms(ring, [(e, c * inv) for e, c in nf.items()])
+        final.append(given.get(g, g))
     final.sort(key=lambda f: keyf(f.lead_term(order)[0]))
     return GroebnerBasis(ring, order, tuple(final))
 

@@ -83,7 +83,7 @@ def elimination_order(block: int) -> MonomialOrder:
     return MonomialOrder("block", block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RingCtx:
     """The ambient polynomial ring F_p[x_1, ..., x_n]."""
 
@@ -265,13 +265,6 @@ class Poly:
                 else:
                     out.pop(e, None)
         return Poly._make(self.ring, out)
-
-    def scale(self, c: int) -> "Poly":
-        c %= self.ring.p
-        if c == 0:
-            return self.ring.zero()
-        p = self.ring.p
-        return Poly._make(self.ring, {e: (c * k) % p for e, k in self._terms.items()})
 
     def shift(self, exps: Sequence[int]) -> "Poly":
         """Multiply by the monomial with the given exponents."""

@@ -67,7 +67,7 @@ class TauParams:
             raise FjumpError("plateau length must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TauResult:
     """A computed test ideal.
 
@@ -83,7 +83,8 @@ class TauResult:
     pairs in ascending order (one pair for the p-power formula), and is
     empty when no chain term was evaluated.  Whenever it is not empty, the
     result is the same object as the last trace entry and is generated by
-    its reduced grevlex basis, Skoda-scaled or not.
+    its reduced grevlex basis, Skoda-scaled or not; without Skoda scaling
+    every entry is.
     """
 
     ideal: Ideal
@@ -271,8 +272,9 @@ def _scan_chain_general(pairs, params: TauParams, *, gen_limit, step_limit, e_li
         return upper is value or is_subset(upper, value, step_limit=step_limit)
 
     def result(trace: list, stabilized_at: int, certified: bool) -> TauResult:
-        e, value = trace[-1]
-        trace[-1] = (e, value.reduced(step_limit=step_limit))
+        # Every traced term's basis was computed by the scan; keeping the
+        # basis in place of the root's generators halves what a result holds.
+        trace = [(e, v.reduced(step_limit=step_limit)) for e, v in trace]
         return TauResult(trace[-1][1], stabilized_at, certified, tuple(trace))
 
     a0, b = _phase_of(p, lcm(*(c.denominator for _, c in pairs)))

@@ -5,17 +5,18 @@ of a at J is the limit of nu/p^e.  Each finite level e brackets it:
 
     nu(q)/q  <=  threshold  <=  (nu(q) + 1 + m)/q,        q = p^e,
 
-where m is the generator count.  The width comes from a pigeonhole step: if
-a^{v+1} is inside J^[q], then any product of q'(v+1) + m(q'-1) generators
-contains some generator q' times, so a^{q'(v+1)+m(q'-1)} lies in
-(a^{v+1})^[q'] and hence in J^[qq'], giving nu(qq') < q'(v+1+m).
+where m is the generator count.  The width comes from a pigeonhole step: a
+product of q'v + m(q'-1) + 1 generators, the i-th taken k_i times, has
+sum floor(k_i/q') >= v + 1, so a^{q'v+m(q'-1)+1} lies in (a^{v+1})^[q'].
+With v = nu(q), that is inside J^[qq'], so nu(qq') <= q' nu(q) + m(q'-1).
 
 a^r lies in J^[q] exactly when its root (a^r)^[1/q] lies in J, so nu needs
-J's Groebner basis and roots only.  For a hypersurface (f), nu(pq) lies in
-[p nu(q), p nu(q) + p - 1] (Mustata-Takagi-Watanabe), so nu is walked up
-one base-p digit per level from nu(1) = ell - 1, ell the least power of f
-inside J, each root taken by digit descent without expanding f^r.  Other
-ideals bisect r at each level.
+J's Groebner basis and roots only.  By flatness of Frobenius and the step
+above with q' = p, nu(pq) lies in [p nu(q), p nu(q) + m(p-1)]
+(Mustata-Takagi-Watanabe for m = 1), so nu is walked up one level at a
+time from nu(1) = ell - 1, ell the least power of a inside J, testing at
+most m(p-1) candidates per level.  A principal ideal (f) takes each root
+by digit descent without expanding f^r.
 
 Jumping exponents of the test-ideal family are located by bisecting on
 test-ideal equality (the family is constant between jumps and
@@ -143,54 +144,31 @@ def _escapes(b: Ideal, gb) -> bool:
     return not all(normal_form(g, gb).is_zero() for g in b.gens)
 
 
-def _hypersurface(a: Ideal):
-    """The generator of a = (f) when f is not a monomial, else None."""
-    if len(a.gens) == 1 and not a.gens[0].is_term():
-        return a.gens[0]
-    return None
-
-
-def _nu_bisect(a: Ideal, gb, ell: int, e: int, *, gen_limit, e_limit) -> int:
-    q = a.ring.p ** e
-    top = ell * (len(a.gens) * (q - 1) + 1)  # containment holds here
-    lo = 0
-    while lo < top:
-        mid = (lo + top) // 2
-        root = frobenius_root(ideal_power(a, mid, gen_limit=gen_limit), e,
-                              e_limit=e_limit)
-        if _escapes(root, gb):
-            lo = mid + 1
-        else:
-            top = mid
-    return max(lo - 1, 0)
-
-
-def _nu_walk(f, gb, ell: int, e_max: int, *, e_limit) -> list[int]:
-    """nu(p^e) of (f) for e = 1..e_max, one base-p digit per level: nu(pq)
-    lies in [p nu(q), p nu(q) + p - 1] (MTW), its bottom holds by flatness
-    of Frobenius, and the window is tested from the top."""
+def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
+               gen_limit, step_limit, e_limit) -> list[int]:
+    """nu(p^e) for e = e_min..e_max from one walk up from nu(1) = ell - 1,
+    with the preconditions, J's basis and ell computed once.  Each level
+    tests the window (p nu, p nu + m(p - 1)] from the top; its bottom holds
+    by flatness of Frobenius, so it is the answer when nothing escapes."""
+    gb, ell = _nu_setup(a, J, gen_limit=gen_limit, step_limit=step_limit)
     _check_e(e_max, e_limit)
-    p = f.ring.p
+
+    def root(r: int, e: int) -> Ideal:
+        if len(a.gens) == 1:
+            return power_root(a.gens[0], r, e, e_limit=e_limit)
+        return frobenius_root(ideal_power(a, r, gen_limit=gen_limit), e,
+                              e_limit=e_limit)
+
+    p = a.ring.p
+    width = len(a.gens) * (p - 1)
     out = []
     v = ell - 1
     for e in range(1, e_max + 1):
         base = p * v
-        v = next((r for r in range(base + p - 1, base, -1)
-                  if _escapes(power_root(f, r, e, e_limit=e_limit), gb)), base)
+        v = next((r for r in range(base + width, base, -1)
+                  if _escapes(root(r, e), gb)), base)
         out.append(v)
-    return out
-
-
-def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
-               gen_limit, step_limit, e_limit) -> list[int]:
-    """nu(p^e) for e = e_min..e_max, with the preconditions, J's basis and
-    ell computed once."""
-    gb, ell = _nu_setup(a, J, gen_limit=gen_limit, step_limit=step_limit)
-    f = _hypersurface(a)
-    if f is not None:
-        return _nu_walk(f, gb, ell, e_max, e_limit=e_limit)[e_min - 1:]
-    return [_nu_bisect(a, gb, ell, e, gen_limit=gen_limit, e_limit=e_limit)
-            for e in range(e_min, e_max + 1)]
+    return out[e_min - 1:]
 
 
 def nu(a: Ideal, J: Ideal, e: int, *,
@@ -202,10 +180,9 @@ def nu(a: Ideal, J: Ideal, e: int, *,
     Containment of a^r in the bracket power is equivalent to the level-e
     root of a^r landing inside J (that is exactly the minimality in the
     definition of the root), so only one Groebner basis -- J's -- is ever
-    needed.  For a = (f) with f not a monomial, nu is walked up from
-    nu(1) = ell - 1 one base-p digit per level, each root taken by digit
-    descent (``power_root``); otherwise r is bisected over
-    [0, ell (m (q - 1) + 1)], m the generator count."""
+    needed.  nu is walked up from nu(1) = ell - 1 one level at a time,
+    testing at most m(p - 1) candidates per level, m the generator count;
+    for a = (f) each root is taken by digit descent (``power_root``)."""
     if e < 1:
         raise PreconditionError("nu needs e >= 1")
     return _nu_levels(a, J, e, e, gen_limit=gen_limit, step_limit=step_limit,
@@ -218,15 +195,12 @@ def f_threshold(a: Ideal, J: Ideal, e_max: int, *,
                 step_limit: int | None = None,
                 e_limit: int | None = None) -> ThresholdEstimate:
     """Bracket the F-threshold of a at J from the levels e = 1..e_max; the
-    nu records are computed as in ``nu``, with one walk for a = (f)."""
+    nu records all come from one walk, as in ``nu``."""
     if e_max < 1:
         raise PreconditionError("f_threshold needs e_max >= 1")
     nus = _nu_levels(a, J, 1, e_max, gen_limit=gen_limit,
                      step_limit=step_limit, e_limit=e_limit)
     records = [NuRecord(e, a.ring.p ** e, v) for e, v in enumerate(nus, 1)]
-    for prev, nxt in zip(records, records[1:]):
-        # guaranteed by flatness of Frobenius; a violation is a library bug
-        assert Fraction(prev.nu, prev.q) <= Fraction(nxt.nu, nxt.q)
     m = len(a.gens)
     last = records[-1]
     lower = Fraction(last.nu, last.q)

@@ -86,6 +86,9 @@ def test_reduced_basis_shape():
                 for exps, _ in g.sorted_terms():
                     if exps != g.lead_term()[0]:
                         assert not all(a <= b for a, b in zip(lead, exps))
+        # a basis element equal to a given generator is that generator
+        for g in gb.polys:
+            assert all(g is h for h in I.gens if h == g)
 
 
 def test_s_polynomials_reduce_to_zero():

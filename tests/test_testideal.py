@@ -332,6 +332,9 @@ def test_chain_scanned_results_are_reduced_bases():
         gb = result.ideal.groebner_basis()
         assert result.ideal.gens == gb.polys
         assert result.chain_trace[-1][1] is result.ideal
+        if c < len(a.gens):  # unscaled: every traced term is reduced
+            for _, T in result.chain_trace:
+                assert T.gens == T.groebner_basis().polys
     assert [str(g) for g in tau(ring(7, "x", "y").ideal("x^2+y^3"),
                                 Fraction(4, 5)).ideal.gens] == ["1"]
     assert len(tau(R3.ideal("x^2+y^2", "x*y"), Fraction(5, 2)).ideal.gens) == 5

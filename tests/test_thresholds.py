@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fjump import (Ideal, PreconditionError, ResourceLimitError, TauParams,
+from fjump import (Ideal, Poly, PreconditionError, ResourceLimitError, TauParams,
                    bracket_power, denominator_bound, f_threshold, fpt,
                    is_member, is_subset, jumping_exponents, nu, nu_bruteforce)
 from fjump import test_ideal as tau
@@ -102,6 +102,40 @@ def test_threshold_records_equal_per_level_nu():
         est = f_threshold(a, J, e_max)
         assert [(r.e, r.q, r.nu) for r in est.records] == [
             (e, a.ring.p**e, nu(a, J, e)) for e in range(1, e_max + 1)]
+
+
+def test_nu_walk_stays_inside_the_generator_cap():
+    # The window's largest power at q = 25 is a^32 (561 generators); an
+    # upper end of ell (m (q - 1) + 1) = 73 would need a^36 (703) first.
+    R5 = ring(5, "x", "y")
+    a, m = R5.ideal("x^2", "x*y", "y^3"), R5.ideal("x", "y")
+    assert nu(a, m, 2, gen_limit=600) == nu_bruteforce(a, m, 2) == 24
+
+
+def test_nu_window_holds_for_several_generators():
+    # nu(pq) lies in [p nu(q), p nu(q) + m(p - 1)] for m generators, checked
+    # on literal brute-force counts at q = 1, p, p^2.  Generators are
+    # binomials that keep their terms of degree >= low, so they vanish at
+    # the origin; low = 2 at p = 5 keeps the brute-force powers small.
+    rnd = random.Random(67)
+    for p, count, low in ((2, 8, 1), (3, 8, 1), (5, 8, 2)):
+        R = ring(p, "x", "y")
+        J = R.ideal("x", "y")
+        done = 0
+        while done < count:
+            gens = []
+            for _ in range(rnd.choice([2, 3])):
+                f = random_poly(rnd, R, max_degree=3, max_terms=2, nonzero=True)
+                gens.append(Poly.from_terms(
+                    R, [t for t in f.sorted_terms() if sum(t[0]) >= low]))
+            a = Ideal(R, gens)
+            if len(a.gens) < 2:
+                continue
+            m = len(a.gens)
+            levels = [nu_bruteforce(a, J, e) for e in (0, 1, 2)]
+            for prev, nxt in zip(levels, levels[1:]):
+                assert p * prev <= nxt <= p * prev + m * (p - 1), (a, levels)
+            done += 1
 
 
 def test_nu_scaling_is_monotone():
