@@ -190,7 +190,8 @@ def _limits(args) -> dict:
 
 
 def _params(args) -> TauParams:
-    return TauParams(e_max=args.e_max, plateau=args.plateau)
+    return TauParams(e_max=_nat(args.e_max, "--e-max", 1),
+                     plateau=_nat(args.plateau, "--plateau", 1))
 
 
 def _run_command(args, job: JobInput):
@@ -198,6 +199,8 @@ def _run_command(args, job: JobInput):
     lim = _limits(args)
     if args.command == "root":
         I = job.ideal(args.ideal)
+        if args.oracle and not all(g.is_term() for g in I.gens):
+            raise _UsageError("--oracle for 'root' needs monomial generators")
         out = frobenius_root(I, _nat(args.e, "--e"), e_limit=args.e_cap)
         result = {"generators": _gens(out)}
         if args.oracle:
@@ -233,7 +236,7 @@ def _run_command(args, job: JobInput):
                 {"stabilized_at": r.stabilized_at, "certified": r.certified})
     if args.command == "nu":
         a, J = job.ideal(args.ideal), job.ideal(args.J)
-        e = _nat(args.e, "--e")
+        e = _nat(args.e, "--e", 1)
         value = nu(a, J, e, **lim)
         if args.oracle and value != nu_bruteforce(
                 a, J, e, gen_limit=args.gen_cap, step_limit=args.gb_step_cap):
@@ -245,10 +248,11 @@ def _run_command(args, job: JobInput):
         return result, {"records": [{"e": e, "nu": value}], "certified": True}
     if args.command in ("fthreshold", "fpt"):
         a = job.ideal(args.ideal)
+        e_max = _nat(args.e_max, "--e-max", 1)
         if args.command == "fthreshold":
-            est = f_threshold(a, job.ideal(args.J), args.e_max, cap=args.cap, **lim)
+            est = f_threshold(a, job.ideal(args.J), e_max, cap=args.cap, **lim)
         else:
-            est = fpt(a, args.e_max, cap=args.cap, **lim)
+            est = fpt(a, e_max, cap=args.cap, **lim)
         if args.oracle:
             for rec in est.records:
                 if rec.e > 2:
@@ -256,7 +260,8 @@ def _run_command(args, job: JobInput):
                 brute = nu_bruteforce(a, job.ideal(args.J) if args.command ==
                                       "fthreshold" else Ideal(a.ring,
                                       [a.ring.var(i) for i in range(a.ring.nvars)]),
-                                      rec.e, gen_limit=args.gen_cap)
+                                      rec.e, gen_limit=args.gen_cap,
+                                      step_limit=args.gb_step_cap)
                 if brute != rec.nu:
                     raise ResourceLimitError(
                         f"oracle disagreement at e={rec.e}: nu={rec.nu}, brute={brute}")
@@ -295,9 +300,9 @@ def _run_command(args, job: JobInput):
     raise _UsageError(f"unknown command {args.command!r}")
 
 
-def _nat(value: int, flag: str) -> int:
-    if value < 0:
-        raise _UsageError(f"{flag} must be nonnegative")
+def _nat(value: int, flag: str, least: int = 0) -> int:
+    if value < least:
+        raise _UsageError(f"{flag} must be at least {least}")
     return value
 
 

@@ -3,8 +3,8 @@
 Buchberger's algorithm with the Gebauer-Moeller pair-elimination criteria
 and normal (smallest lcm degree first) selection.  All tie-breaking goes
 through the monomial order, so the reduced basis of an ideal is not just
-mathematically unique but reproduced bit-for-bit across runs.  Reduced
-bases are memoized per (ideal, order); the fill is idempotent, so
+mathematically unique but reproduced bit-for-bit across runs.  Each
+ideal memoizes its reduced grevlex basis; the fill is idempotent, so
 concurrent readers can at worst duplicate work.
 """
 
@@ -191,27 +191,20 @@ def _poly_sort_key(f: Poly, order: MonomialOrder):
     return tuple(sorted(((order.key(e), c) for e, c in f.sorted_terms(order))))
 
 
-def buchberger(source, order: MonomialOrder = GREVLEX, *,
+def buchberger(I: Ideal, order: MonomialOrder = GREVLEX, *,
                step_limit: int | None = None) -> GroebnerBasis:
-    """The unique reduced Groebner basis of the ideal, deterministically.
+    """The unique reduced Groebner basis of the ideal I, deterministically.
 
-    ``source`` is an Ideal or a sequence of Poly.  Raises
-    ResourceLimitError when the configured step cap runs out; never
+    Raises ResourceLimitError when the configured step cap runs out; never
     returns a wrong basis.
     """
-    if isinstance(source, Ideal):
-        ring, gens = source.ring, source.gens
-    else:
-        gens = tuple(source)
-        if not gens:
-            raise FjumpError("cannot infer the ring of an empty generator list")
-        ring = gens[0].ring
+    ring, gens = I.ring, I.gens
     budget = _Budget(DEFAULT_STEP_LIMIT if step_limit is None else step_limit)
     p = ring.p
     keyf = order.key
 
-    seed = sorted({g for g in gens if not g.is_zero()},
-                  key=lambda f: (keyf(f.lead_term(order)[0]), _poly_sort_key(f, order)))
+    seed = sorted(gens, key=lambda f: (keyf(f.lead_term(order)[0]),
+                                       _poly_sort_key(f, order)))
 
     # basis entries: (lead_exps, inverted lead coeff, terms dict)
     basis: list = []
@@ -435,75 +428,14 @@ def _extend_ring(ring: RingCtx, *, first: bool):
 
 
 def generated_in_degree(I: Ideal, d: int) -> bool:
-    """Whether the elements of I of total degree <= d already generate I.
+    """Whether the elements of I of total degree <= d generate I.
 
-    The degree-d slice of I is the kernel of the normal-form map on the
-    (finite dimensional) space of polynomials of degree <= d; a basis of
-    that kernel is extracted by Gaussian elimination and compared against
-    I itself.
+    Under grevlex a polynomial's degree is its lead's, and division never
+    raises the lead, so an element of I of degree <= d reduces to zero by
+    the reduced-basis elements of degree <= d alone.  Those elements thus
+    generate the degree-<= d slice, which is I exactly when they generate I
+    (a basis can hold a higher-degree element that the slice still
+    generates: (x^2, xy + y^2) has y^3 in its basis).
     """
-    if I.is_zero():
-        return True
-    if d < 0:
-        return False
-    ring = I.ring
     gb = I.groebner_basis()
-    monos = _monomials_up_to(ring.nvars, d)
-    # Rows: coordinates of NF(mu) over the standard monomials, augmented by
-    # the identity so the eliminated rows remember their mu-combination.
-    cols: dict = {}
-    rows = []
-    for mu in monos:
-        nf = normal_form(ring.monomial(mu), gb)
-        vec = {}
-        for e, c in nf._terms.items():
-            cols.setdefault(e, len(cols))
-            vec[cols[e]] = c
-        rows.append((vec, {mu: 1}))
-    p = ring.p
-    kernel = []
-    pivots: dict = {}
-    for vec, combo in rows:
-        vec = dict(vec)
-        combo = dict(combo)
-        for col in sorted(vec):
-            if col not in pivots:
-                continue
-            pvec, pcombo = pivots[col]
-            c = vec[col]
-            for k, v in pvec.items():
-                nv = (vec.get(k, 0) - c * v) % p
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-            for k, v in pcombo.items():
-                nv = (combo.get(k, 0) - c * v) % p
-                if nv:
-                    combo[k] = nv
-                else:
-                    combo.pop(k, None)
-        if vec:
-            col = min(vec)
-            inv = ring.field.inv(vec[col])
-            vec = {k: (v * inv) % p for k, v in vec.items()}
-            combo = {k: (v * inv) % p for k, v in combo.items()}
-            pivots[col] = (vec, combo)
-        elif combo:
-            kernel.append(combo)
-    candidates = [Poly.from_terms(ring, combo.items()) for combo in kernel]
-    return Ideal(ring, candidates) == I
-
-
-def _monomials_up_to(n: int, d: int):
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(left + 1):
-            rec(prefix + [e], left - e)
-
-    rec([], d)
-    return out
+    return Ideal(I.ring, [g for g in gb.polys if g.total_degree() <= d]) == I

@@ -266,17 +266,6 @@ class Poly:
                     out.pop(e, None)
         return Poly._make(self.ring, out)
 
-    def shift(self, exps: Sequence[int]) -> "Poly":
-        """Multiply by the monomial with the given exponents."""
-        exps = tuple(exps)
-        if all(e == 0 for e in exps):
-            return self
-        if any(e < 0 for e in exps):
-            raise FjumpError("shift exponents must be nonnegative")
-        return Poly._make(self.ring,
-                          {tuple(a + b for a, b in zip(e, exps)): c
-                           for e, c in self._terms.items()})
-
     def frobenius(self, e: int) -> "Poly":
         """The p^e-th power.  Over F_p this is pure exponent scaling:
         coefficients are Frobenius-fixed and cross terms vanish."""

@@ -113,11 +113,11 @@ def staircase(rows, n: int) -> tuple:
     return tuple(sorted(out))
 
 
-def tau_vectors(groups, p: int, e_min: int) -> tuple[tuple, int]:
+def tau_vectors(groups, p: int) -> tuple[tuple, int]:
     """tau(prod_i a_i^c_i) for monomial a_i given as (minimal exponent
     vectors, c_i > 0) pairs: its minimal exponent vectors, and the least
-    level e >= e_min from which the chain provably equals it (see the
-    module docstring)."""
+    level e >= 1 from which the chain provably equals it (see the module
+    docstring)."""
     L = lcm(*(c.denominator for _, c in groups))
     n = len(groups[0][0][0])
     points = [(0,) * n]
@@ -134,7 +134,7 @@ def tau_vectors(groups, p: int, e_min: int) -> tuple[tuple, int]:
                             L * sum(W)) for W, H in fcts])
               for v in gens)
     need = 1 + sum(len(vecs) * max(max(g) for g in vecs) for vecs, _ in groups)
-    e, q = e_min, p**e_min
+    e, q = 1, p
     while q * eps.numerator < need * eps.denominator:
         e, q = e + 1, q * p
     return gens, e

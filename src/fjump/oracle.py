@@ -69,10 +69,9 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def power_root_vectors(groups, q: int, nvars: int, *,
-                       base: tuple[int, ...] | None = None,
                        gen_limit: int | None = None) -> frozenset:
-    """Minimal floor vectors  floor((base + sum_i v_i)/q)  where the v_i run
-    over the r-fold sums of each group's generator exponents.
+    """Minimal floor vectors  floor((sum_i v_i)/q)  where the v_i run over
+    the r-fold sums of each group's generator exponents.
 
     ``groups`` is a list of (vectors, r).  Principal groups collapse into a
     fixed offset.  A trailing two-generator group is swept along its segment
@@ -82,7 +81,7 @@ def power_root_vectors(groups, q: int, nvars: int, *,
     each branch ending in such a sweep.  Work is counted against a budget
     derived from ``gen_limit``."""
     limit = 20 * (DEFAULT_GEN_LIMIT if gen_limit is None else gen_limit)
-    fixed = list(base) if base is not None else [0] * nvars
+    fixed = [0] * nvars
     dynamic = []
     for vecs, r in groups:
         if r < 0:

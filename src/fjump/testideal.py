@@ -51,18 +51,17 @@ from .ratutil import multiplicative_order
 
 @dataclass(frozen=True)
 class TauParams:
-    """Chain-scan controls: levels e_min..e_max, the plateau length of the
-    uncertified fallback, and whether Skoda reduction rewrites large
-    exponents first."""
+    """Chain-scan controls: the scan runs over levels 1..e_max; the plateau
+    length of the uncertified fallback; and whether Skoda reduction
+    rewrites large exponents first."""
 
-    e_min: int = 1
     e_max: int = 20
     plateau: int = 2
     use_skoda: bool = True
 
     def __post_init__(self):
-        if self.e_min < 1 or self.e_max < self.e_min:
-            raise FjumpError("need 1 <= e_min <= e_max")
+        if self.e_max < 1:
+            raise FjumpError("need e_max >= 1")
         if self.plateau < 1:
             raise FjumpError("plateau length must be >= 1")
 
@@ -75,8 +74,9 @@ class TauResult:
     Newton-polyhedron closed form for monomial inputs, tau(f^(r/p^a)) =
     (f^r)^[1/p^a] for a hypersurface at a p-power denominator, the
     two-sided chain bound otherwise.  Then ``stabilized_at`` is a chain
-    level from which the chain provably equals the result: max(a, e_min)
-    for the p-power formula; for general ideals the level where the bound
+    level (chains start at level 1) from which the chain provably equals
+    the result: a level read off the polyhedron for the closed form; a for
+    the p-power formula; for general ideals the level where the bound
     closed, or the first level of a plateau whose value a deeper probe
     proved.  For an uncertified result it is the first level of the
     accepted plateau.  ``chain_trace`` lists the inspected (e, ideal)
@@ -135,9 +135,9 @@ def _unit_result(ring: RingCtx) -> TauResult:
     return TauResult(one, 0, True, ((0, one),))
 
 
-def _zero_result(ring: RingCtx, e_min: int) -> TauResult:
+def _zero_result(ring: RingCtx, e: int = 1) -> TauResult:
     zero = Ideal(ring, [])
-    return TauResult(zero, e_min, True, ((e_min, zero),))
+    return TauResult(zero, e, True, ((e, zero),))
 
 
 def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
@@ -153,7 +153,7 @@ def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
     c = _as_exponent(c)
     ring = a.ring
     if a.is_zero():
-        return _zero_result(ring, 0 if c == 0 else params.e_min)
+        return _zero_result(ring, 0 if c == 0 else 1)
     if c == 0:
         return _unit_result(ring)
 
@@ -200,7 +200,7 @@ def mixed_test_ideal(pairs, params: TauParams | None = None, *,
     if any(a.is_zero() for a, _ in pairs):
         # A zero factor kills every chain term (and the c = 0 convention for
         # the zero ideal is the zero ideal as well).
-        return _zero_result(ring, params.e_min)
+        return _zero_result(ring)
     active = [(a, c) for a, c in pairs if c > 0]
     if not active:
         return _unit_result(ring)
@@ -226,7 +226,7 @@ def _scan_chain(pairs, params: TauParams, *, gen_limit, step_limit, e_limit):
     ring = pairs[0][0].ring
     groups = _monomial_groups(pairs)
     if groups is not None:
-        vecs, stab = tau_vectors(groups, ring.p, params.e_min)
+        vecs, stab = tau_vectors(groups, ring.p)
         return TauResult(monomial_ideal(ring, vecs), stab, True)
     if len(pairs) == 1 and len(pairs[0][0].gens) == 1:
         (a, c), = pairs
@@ -236,8 +236,7 @@ def _scan_chain(pairs, params: TauParams, *, gen_limit, step_limit, e_limit):
             # level from a on.
             value = power_root(a.gens[0], c.numerator, level,
                                e_limit=e_limit).reduced(step_limit=step_limit)
-            e = max(level, params.e_min)
-            return TauResult(value, e, True, ((e, value),))
+            return TauResult(value, level, True, ((level, value),))
     return _scan_chain_general(pairs, params, gen_limit=gen_limit,
                                step_limit=step_limit, e_limit=e_limit)
 
@@ -281,7 +280,7 @@ def _scan_chain_general(pairs, params: TauParams, *, gen_limit, step_limit, e_li
 
     trace: list = []
     run = 0
-    e = params.e_min
+    e = 1
     while e <= params.e_max:
         value = term(e)
         trace.append((e, value))

@@ -33,10 +33,10 @@ from math import ceil, comb
 
 from .errors import PreconditionError, ResourceLimitError
 from .frobroot import _check_e, frobenius_root, power_root
-from .groebner import Ideal, ideal_power, normal_form, radical_member
+from .groebner import Ideal, ideal_power, is_subset, radical_member
 from .oracle import minimal_vectors, monomial_exponents
 from .ratutil import multiplicative_order, simplest_between
-from .testideal import TauParams, TauResult, test_ideal
+from .testideal import TauParams, TauResult, _split_p, test_ideal
 
 _MAX_ELL = 10_000
 _MAX_JUMPS = 10_000
@@ -92,12 +92,7 @@ class DenomBound:
                 f"a <= {self.a_max}, 1 <= b <= {self.b_max}")
 
     def admits(self, x: Fraction) -> bool:
-        den = Fraction(x).denominator
-        rest = den
-        a = 0
-        while rest % self.p == 0:
-            rest //= self.p
-            a += 1
+        a, rest = _split_p(self.p, Fraction(x).denominator)
         if a > self.a_max:
             return False
         if rest == 1:
@@ -118,39 +113,32 @@ class JumpList:
     certified: bool
 
 
-def _check_nu_preconditions(a: Ideal, J: Ideal):
+def _nu_setup(a: Ideal, J: Ideal, *, gen_limit, step_limit) -> int:
+    """Check the preconditions; return the least ell with a^ell inside J,
+    so that nu(1) = ell - 1."""
     if a.is_zero():
         raise PreconditionError("nu needs a nonzero ideal a")
     if a.ring != J.ring:
         raise PreconditionError("a and J must live in one ring")
     for g in a.gens:
-        if not radical_member(g, J):
+        if not radical_member(g, J, step_limit=step_limit):
             raise PreconditionError(
                 f"a must lie in rad(J): generator {g} does not")
-
-
-def _nu_setup(a: Ideal, J: Ideal, *, gen_limit, step_limit):
-    """Check the preconditions; return J's basis and the least ell with
-    a^ell inside J, so that nu(1) = ell - 1."""
-    _check_nu_preconditions(a, J)
-    gb = J.groebner_basis(step_limit=step_limit)
     for ell in range(1, _MAX_ELL + 1):
-        if not _escapes(ideal_power(a, ell, gen_limit=gen_limit), gb):
-            return gb, ell
+        if is_subset(ideal_power(a, ell, gen_limit=gen_limit), J,
+                     step_limit=step_limit):
+            return ell
     raise ResourceLimitError(f"no power of a inside J up to {_MAX_ELL}")
-
-
-def _escapes(b: Ideal, gb) -> bool:
-    return not all(normal_form(g, gb).is_zero() for g in b.gens)
 
 
 def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
                gen_limit, step_limit, e_limit) -> list[int]:
     """nu(p^e) for e = e_min..e_max from one walk up from nu(1) = ell - 1,
-    with the preconditions, J's basis and ell computed once.  Each level
-    tests the window (p nu, p nu + m(p - 1)] from the top; its bottom holds
-    by flatness of Frobenius, so it is the answer when nothing escapes."""
-    gb, ell = _nu_setup(a, J, gen_limit=gen_limit, step_limit=step_limit)
+    with the preconditions and ell found once (J caches its basis).  Each
+    level tests the window (p nu, p nu + m(p - 1)] from the top; its bottom
+    holds by flatness of Frobenius, so it is the answer when nothing
+    escapes."""
+    ell = _nu_setup(a, J, gen_limit=gen_limit, step_limit=step_limit)
     _check_e(e_max, e_limit)
 
     def root(r: int, e: int) -> Ideal:
@@ -166,7 +154,8 @@ def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
     for e in range(1, e_max + 1):
         base = p * v
         v = next((r for r in range(base + width, base, -1)
-                  if _escapes(root(r, e), gb)), base)
+                  if not is_subset(root(r, e), J, step_limit=step_limit)),
+                 base)
         out.append(v)
     return out[e_min - 1:]
 

@@ -27,7 +27,7 @@ def member_by_linear_algebra(f, gens, cofactor_degree):
     columns = []
     for g in gens:
         for mu in monos:
-            columns.append(g.shift(mu))
+            columns.append(g * R.monomial(mu))
     # Solve sum_j x_j * columns[j] = f over F_p.
     support = set(f._terms)
     for col in columns:

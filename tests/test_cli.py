@@ -193,6 +193,19 @@ def test_usage_errors(job_path):
     assert code == 1 and "--oracle" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tau", "--ideal", "m", "--c", "1", "--e-max", "0"],
+    ["jumps", "--ideal", "m", "--B", "1", "--plateau", "0"],
+    ["fpt", "--ideal", "f", "--e-max", "0"],
+    ["nu", "--ideal", "m", "--J", "m", "--e", "0"],
+    ["root", "--ideal", "f", "--e", "1", "--oracle"],
+])
+def test_bad_flag_values_are_usage_errors(job_path, argv):
+    code, out, err = invoke(argv + ["-i", job_path])
+    assert code == 1, err
+    assert out == "" and "usage error" in err and "e_min" not in err
+
+
 def test_missing_ideal_is_input_error(job_path):
     code, _, err = invoke(["gb", "-i", job_path, "--ideal", "nope"])
     assert code == 2

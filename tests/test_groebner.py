@@ -3,11 +3,12 @@ import random
 import pytest
 
 from fjump import (GREVLEX, LEX, Ideal, ResourceLimitError, buchberger,
-                   ideal_intersect, ideal_power, ideal_product, ideal_sum,
-                   is_member, is_subset, normal_form, radical_member)
+                   generated_in_degree, ideal_intersect, ideal_power,
+                   ideal_product, ideal_sum, is_member, is_subset, normal_form,
+                   radical_member)
 
 from conftest import random_ideal, random_poly, ring
-from helpers import member_by_linear_algebra
+from helpers import member_by_linear_algebra, monomials_up_to
 
 R2 = ring(2, "x", "y")
 R3 = ring(3, "x", "y")
@@ -103,8 +104,8 @@ def test_s_polynomials_reduce_to_zero():
                 li, _ = fi.lead_term()
                 lj, _ = fj.lead_term()
                 lcm = tuple(max(a, b) for a, b in zip(li, lj))
-                s = fi.shift(tuple(a - b for a, b in zip(lcm, li))) \
-                    - fj.shift(tuple(a - b for a, b in zip(lcm, lj)))
+                s = fi * R3.monomial(tuple(a - b for a, b in zip(lcm, li))) \
+                    - fj * R3.monomial(tuple(a - b for a, b in zip(lcm, lj)))
                 assert normal_form(s, gb).is_zero()
 
 
@@ -164,3 +165,41 @@ def test_lex_vs_grevlex_bases_differ_but_agree_on_membership():
         in_grev = normal_form(f, I.groebner_basis(GREVLEX)).is_zero()
         in_lex = normal_form(f, I.groebner_basis(LEX)).is_zero()
         assert in_grev == in_lex
+
+
+@pytest.mark.parametrize("p,gens,true_at,false_at", [
+    (3, ("x^3+y^2", "2*x^2*y+x*y+2*x"), 3, 2),
+    (2, ("y^3+x^2+x",), 3, 2),
+    # generated in degree 2, although the reduced basis holds y^3
+    (3, ("x^2", "x*y+y^2"), 2, 1),
+])
+def test_generated_in_degree_examples(p, gens, true_at, false_at):
+    I = ring(p, "x", "y").ideal(*gens)
+    assert generated_in_degree(I, true_at)
+    assert not generated_in_degree(I, false_at)
+
+
+def _slice_generates(I, d):
+    # mu - NF(mu) over the monomials of degree <= d spans the degree-<= d
+    # part of I, since NF is linear and vanishes on I.
+    R, gb = I.ring, I.groebner_basis()
+    slice_ = [R.monomial(mu) - normal_form(R.monomial(mu), gb)
+              for mu in monomials_up_to(R.nvars, d)]
+    return Ideal(R, slice_) == I
+
+
+def test_generated_in_degree_against_the_degree_slice():
+    rnd = random.Random(1729)
+    names = ("x", "y", "z")
+    below_top = 0
+    for _ in range(300):
+        R = ring(rnd.choice([2, 3, 5, 7]), *names[:rnd.randint(1, 3)])
+        I = random_ideal(rnd, R, max_gens=3, max_degree=3)
+        top = max(g.total_degree() for g in I.gens)
+        answers = [generated_in_degree(I, d) for d in range(-1, 7)]
+        assert answers == sorted(answers)  # monotone in d
+        assert all(answers[d + 1] for d in range(top, 7))
+        for d in range(-1, 7):
+            assert answers[d + 1] == _slice_generates(I, d), (I, d)
+        below_top += answers[top]  # generated below the top listed degree
+    assert below_top > 30

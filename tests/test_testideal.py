@@ -188,6 +188,8 @@ def test_degree_bound_examples():
     assert degree_bound_check(Rx.ideal("x^2"), 1, Rx.ideal("x^2"))
     assert degree_bound_check(Rx.ideal("x"), Fraction(1, 2), Rx.ideal("1"))
     assert not degree_bound_check(Rx.ideal("x"), Fraction(1, 2), Rx.ideal("x"))
+    R = ring(2, "x", "y")
+    assert degree_bound_check(R.ideal("x", "y"), 3, R.ideal("y^3+x^2+x"))
 
 
 def test_degree_bound_on_computed_values():
@@ -355,11 +357,10 @@ def test_principal_p_power_tau_is_the_chain_term():
         c = Fraction(rnd.randint(1, 2 * p**level - 1), p**level)
         if c.denominator != p**level:
             continue
-        e_min = rnd.randint(1, 3)
         a = Ideal(R, [f])
-        result = tau(a, c, TauParams(e_min=e_min))
+        result = tau(a, c)
         assert result.certified
-        assert result.stabilized_at == max(level, e_min)
+        assert result.stabilized_at == level
         assert result.chain_trace == ((result.stabilized_at, result.ideal),)
         assert result.chain_trace[0][1] is result.ideal
         assert result.ideal.gens == result.ideal.groebner_basis().polys

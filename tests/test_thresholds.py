@@ -46,6 +46,11 @@ def test_nu_preconditions():
         nu(R2.ideal("x^2+y^3"), R2.ideal("x", "y"), 9, e_limit=8)
 
 
+def test_nu_preconditions_honour_the_step_cap():
+    with pytest.raises(ResourceLimitError):
+        nu(R3.ideal("x^2+y^3"), R3.ideal("x", "y"), 1, step_limit=1)
+
+
 def test_nu_matches_bruteforce_on_small_instances():
     rnd = random.Random(19)
     hits = 0
