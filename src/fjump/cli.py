@@ -143,13 +143,10 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--J", required=True)
     p.add_argument("--e-max", type=int, default=4)
-    p.add_argument("--cap", type=int, default=None,
-                   help="denominator cap override")
 
     p = sub.add_parser("fpt", help="F-pure threshold bracket")
     common(p)
     p.add_argument("--e-max", type=int, default=4)
-    p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("jumps", help="F-jumping exponents up to a bound")
     common(p)
@@ -250,34 +247,34 @@ def _run_command(args, job: JobInput):
         a = job.ideal(args.ideal)
         e_max = _nat(args.e_max, "--e-max", 1)
         if args.command == "fthreshold":
-            est = f_threshold(a, job.ideal(args.J), e_max, cap=args.cap, **lim)
+            J = job.ideal(args.J)
+            est = f_threshold(a, J, e_max, **lim)
         else:
-            est = fpt(a, e_max, cap=args.cap, **lim)
+            J = Ideal(a.ring, [a.ring.var(i) for i in range(a.ring.nvars)])
+            est = fpt(a, e_max, **lim)
+        result = {
+            "lower": format_rational(est.lower),
+            "upper": format_rational(est.upper),
+            "guess": format_rational(est.guess),
+        }
         if args.oracle:
-            for rec in est.records:
-                if rec.e > 2:
-                    continue
-                brute = nu_bruteforce(a, job.ideal(args.J) if args.command ==
-                                      "fthreshold" else Ideal(a.ring,
-                                      [a.ring.var(i) for i in range(a.ring.nvars)]),
-                                      rec.e, gen_limit=args.gen_cap,
+            # The brute force expands a^r: replay e <= 2, named in oracle_levels.
+            replayed = [rec for rec in est.records if rec.e <= 2]
+            for rec in replayed:
+                brute = nu_bruteforce(a, J, rec.e, gen_limit=args.gen_cap,
                                       step_limit=args.gb_step_cap)
                 if brute != rec.nu:
                     raise ResourceLimitError(
                         f"oracle disagreement at e={rec.e}: nu={rec.nu}, brute={brute}")
-        result = {
-            "lower": format_rational(est.lower),
-            "upper": format_rational(est.upper),
-            "guess": format_rational(est.guess) if est.guess is not None else None,
-        }
-        if args.oracle:
             result["oracle_agreement"] = True
+            result["oracle_levels"] = [rec.e for rec in replayed]
         return result, {"records": [{"e": r.e, "nu": r.nu} for r in est.records],
                         "certified": est.certified}
     if args.command == "jumps":
         _no_oracle(args)
         jl = jumping_exponents(job.ideal(args.ideal), parse_rational(args.B),
-                               _params(args), cap=args.cap, **lim)
+                               _params(args), cap=_nat(args.cap, "--cap", 1),
+                               **lim)
         return ({"jumps": [format_rational(j) for j in jl.jumps],
                  "ideals": [_gens(I) for I in jl.ideals]},
                 {"certified": jl.certified})
@@ -288,20 +285,21 @@ def _run_command(args, job: JobInput):
         return {"order": args.order, "generators": [str(g) for g in gb.polys] or ["0"]}, {}
     if args.command == "denombound":
         _no_oracle(args)
-        db = denominator_bound(job.ideal(args.ideal), args.cap)
+        cap = _nat(args.cap, "--cap", 1)
+        db = denominator_bound(job.ideal(args.ideal))
         result = {"m": db.m, "d": db.d, "e0": db.e0, "N": db.N,
                   "a_max": db.a_max, "b_max": db.b_max,
                   "max_denominator": str(db.max_denominator),
                   "description": db.describe()}
-        if db.capped:
+        if cap is not None and db.max_denominator > cap:
             result["warning"] = (f"family maximum {db.max_denominator} exceeds "
-                                 f"the cap {db.cap}")
+                                 f"the cap {cap}")
         return result, {}
     raise _UsageError(f"unknown command {args.command!r}")
 
 
-def _nat(value: int, flag: str, least: int = 0) -> int:
-    if value < least:
+def _nat(value: int | None, flag: str, least: int = 0) -> int | None:
+    if value is not None and value < least:
         raise _UsageError(f"{flag} must be at least {least}")
     return value
 

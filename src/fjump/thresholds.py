@@ -29,11 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from itertools import product
+from math import comb
 
 from .errors import PreconditionError, ResourceLimitError
 from .frobroot import _check_e, frobenius_root, power_root
 from .groebner import Ideal, ideal_power, is_subset, radical_member
+from .newton import facets
 from .oracle import minimal_vectors, monomial_exponents
 from .ratutil import multiplicative_order, simplest_between
 from .testideal import TauParams, TauResult, _split_p, test_ideal
@@ -51,20 +53,21 @@ class NuRecord:
 
 @dataclass(frozen=True)
 class ThresholdEstimate:
-    """A bracketed F-threshold.  ``guess`` is the smallest-denominator
-    admissible rational in [lower, upper] consistent with every recorded
-    level; it is a conjecture, so ``certified`` stays False."""
+    """A bracketed F-threshold and a guess inside the bracket.  The guess is
+    the exact threshold, with ``certified`` True, for monomial a at an
+    m-primary monomial J; otherwise it is the simplest rational in the
+    cell the records allow, a conjecture with ``certified`` False."""
 
     lower: Fraction
     upper: Fraction
-    guess: Fraction | None
+    guess: Fraction
     certified: bool
     records: tuple[NuRecord, ...]
 
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise PreconditionError("threshold bracket is inverted")
-        if self.guess is not None and not self.lower <= self.guess <= self.upper:
+        if not self.lower <= self.guess <= self.upper:
             raise PreconditionError("threshold guess escapes its bracket")
 
 
@@ -81,11 +84,6 @@ class DenomBound:
     a_max: int
     b_max: int
     max_denominator: int
-    cap: int | None = None
-
-    @property
-    def capped(self) -> bool:
-        return self.cap is not None and self.max_denominator > self.cap
 
     def describe(self) -> str:
         return (f"denominators divide p^a*(p^b-1) with p={self.p}, "
@@ -179,60 +177,53 @@ def nu(a: Ideal, J: Ideal, e: int, *,
 
 
 def f_threshold(a: Ideal, J: Ideal, e_max: int, *,
-                cap: int | None = None,
                 gen_limit: int | None = None,
                 step_limit: int | None = None,
                 e_limit: int | None = None) -> ThresholdEstimate:
-    """Bracket the F-threshold of a at J from the levels e = 1..e_max; the
-    nu records all come from one walk, as in ``nu``."""
+    """Bracket the F-threshold c of a at J from the levels e = 1..e_max (one
+    nu walk, as in ``nu``) and guess c.  For monomial a at an m-primary
+    monomial J the guess is c itself, certified (``_monomial_threshold``).
+    For a = (f), nu(q) = ceil(c q) - 1 (Mustata-Takagi-Watanabe), so the
+    guess is the simplest rational in (nu/q, (nu + 1)/q] at the last level;
+    otherwise it is the simplest one in the bracket."""
     if e_max < 1:
         raise PreconditionError("f_threshold needs e_max >= 1")
     nus = _nu_levels(a, J, 1, e_max, gen_limit=gen_limit,
                      step_limit=step_limit, e_limit=e_limit)
     records = [NuRecord(e, a.ring.p ** e, v) for e, v in enumerate(nus, 1)]
-    m = len(a.gens)
     last = records[-1]
     lower = Fraction(last.nu, last.q)
-    upper = Fraction(last.nu + m + 1, last.q)
-    guess = _threshold_guess(a, records, lower, upper, m, cap)
-    return ThresholdEstimate(lower, upper, guess, False, tuple(records))
+    upper = Fraction(last.nu + len(a.gens) + 1, last.q)
+    guess = _monomial_threshold(a, J)
+    certified = guess is not None
+    if guess is None and len(a.gens) == 1:
+        guess = simplest_between(lower, Fraction(last.nu + 1, last.q))
+    elif guess is None:
+        guess = simplest_between(lower, upper, include_lo=True)
+    return ThresholdEstimate(lower, upper, guess, certified, tuple(records))
 
 
-def _threshold_guess(a, records, lower, upper, m, cap):
-    p = a.ring.p
-    db = denominator_bound(a, cap)
-    # Denominators past p^e_max cannot be told apart by the recorded data.
-    d_limit = min(cap if cap is not None else db.max_denominator,
-                  records[-1].q * (m + 2))
-    for den in range(1, d_limit + 1):
-        n0 = ceil(lower * den)
-        n1 = int(upper * den)  # floor
-        for num in range(n0, n1 + 1):
-            x = Fraction(num, den)
-            if x.denominator != den:
-                continue  # already tried in reduced form
-            if not db.admits(x):
-                continue
-            if _consistent_with_records(x, records, m, p):
-                return x
-    return None
-
-
-def _consistent_with_records(x: Fraction, records, m: int, p: int) -> bool:
-    for rec in records:
-        if not Fraction(rec.nu, rec.q) <= x <= Fraction(rec.nu + m + 1, rec.q):
-            return False
-        scaled = x * rec.q
-        if scaled.denominator != 1 and rec.nu != ceil(scaled) - 1:
-            # The ceiling relation pins nu whenever x*q is fractional; at
-            # integral x*q it provably fails in easy cases, so only the
-            # bracket above is enforced there.
-            return False
-    return True
+def _monomial_threshold(a: Ideal, J: Ideal) -> Fraction | None:
+    """c^J(a) for monomial a at an m-primary monomial J, else None.  By BMS
+    tau(a^c) lies in J exactly when c >= c^J(a), and by the Newton closed
+    form x^v lies in tau(a^c) exactly when c < g(v) = min over the facets
+    <W, u> >= H of <W, v + 1>/H; so c^J(a) is max g(v) over x^v outside J."""
+    if not all(g.is_term() for g in a.gens + J.gens):
+        return None
+    J_vecs = minimal_vectors(monomial_exponents(J))
+    box = [min((v[i] for v in J_vecs if sum(v) == v[i]), default=None)
+           for i in range(a.ring.nvars)]
+    if None in box:
+        return None
+    fcts = facets(monomial_exponents(a))
+    return max((min(Fraction(sum(w * (x + 1) for w, x in zip(W, v)), H)
+                    for W, H in fcts)
+                for v in product(*map(range, box))
+                if not any(all(x >= y for x, y in zip(v, u)) for u in J_vecs)),
+               default=Fraction(0))
 
 
 def fpt(a: Ideal, e_max: int, *,
-        cap: int | None = None,
         gen_limit: int | None = None,
         step_limit: int | None = None,
         e_limit: int | None = None) -> ThresholdEstimate:
@@ -246,11 +237,11 @@ def fpt(a: Ideal, e_max: int, *,
     if a.is_zero():
         raise PreconditionError("fpt needs a nonzero ideal")
     J = Ideal(ring, [ring.var(i) for i in range(ring.nvars)])
-    return f_threshold(a, J, e_max, cap=cap, gen_limit=gen_limit,
+    return f_threshold(a, J, e_max, gen_limit=gen_limit,
                        step_limit=step_limit, e_limit=e_limit)
 
 
-def denominator_bound(a: Ideal, cap: int | None = None) -> DenomBound:
+def denominator_bound(a: Ideal) -> DenomBound:
     """Instantiate the denominator family for a: with m generators of degree
     at most d and e0 minimal with p^e0 > m*d, every jump's denominator
     divides p^a(p^b-1) for some a <= e0 + N, b <= N = C(m*d + n, n).  A
@@ -271,7 +262,7 @@ def denominator_bound(a: Ideal, cap: int | None = None) -> DenomBound:
     a_max = e0 + N
     b_max = N
     max_den = p**a_max * (p**b_max - 1)
-    return DenomBound(p, m, d, e0, N, a_max, b_max, max_den, cap)
+    return DenomBound(p, m, d, e0, N, a_max, b_max, max_den)
 
 
 def _family_members(db: DenomBound) -> list[int]:
@@ -324,7 +315,9 @@ def jumping_exponents(a: Ideal, bound, params: TauParams | None = None,
         raise PreconditionError("jumping exponents need a nonzero ideal")
     if bound <= 0:
         raise PreconditionError("the search bound must be positive")
-    db = denominator_bound(a, cap)
+    if cap is not None and cap < 1:
+        raise PreconditionError("the denominator cap must be at least 1")
+    db = denominator_bound(a)
     D = cap if cap is not None else db.max_denominator
 
     memo: dict[Fraction, TauResult] = {}

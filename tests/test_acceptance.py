@@ -306,10 +306,9 @@ def test_criterion_7_theorem_property_suites():
             families += 1
         assert families >= 100
 
-        # threshold estimates versus the ideals they cut out.  The heuristic
-        # guess is only a conjecture (the nu-ceiling filter can reject the
-        # true threshold at small levels), so the certified first jump plays
-        # the role of the F-pure threshold here.
+        # threshold estimates versus the ideals they cut out: the certified
+        # first jump is the F-pure threshold, so it lies in the nu bracket
+        # and tau there lands inside the maximal ideal.
         rnd = random.Random(0xACCE578)
         done = 0
         while done < 100:

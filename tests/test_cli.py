@@ -163,6 +163,16 @@ def test_fthreshold_command(job_path):
     assert report["result"]["lower"] is not None
 
 
+def test_fthreshold_oracle_names_the_replayed_levels(job_path):
+    report = invoke_json(["fthreshold", "-i", job_path, "--ideal", "a",
+                          "--J", "m", "--e-max", "3", "--oracle"])
+    assert report["result"]["guess"] == "1/3"
+    assert report["meta"]["certified"] is True
+    assert report["result"]["oracle_agreement"] is True
+    assert report["result"]["oracle_levels"] == [1, 2]
+    assert len(report["meta"]["records"]) == 3
+
+
 def test_jumps_command(job_path):
     report = invoke_json(["jumps", "-i", job_path, "--ideal", "m", "--B", "3"])
     assert report["result"]["jumps"] == ["0", "2", "3"]
@@ -199,6 +209,9 @@ def test_usage_errors(job_path):
     ["fpt", "--ideal", "f", "--e-max", "0"],
     ["nu", "--ideal", "m", "--J", "m", "--e", "0"],
     ["root", "--ideal", "f", "--e", "1", "--oracle"],
+    ["jumps", "--ideal", "m", "--B", "1", "--cap", "0"],
+    ["denombound", "--ideal", "m", "--cap", "-5"],
+    ["fpt", "--ideal", "f", "--cap", "5"],
 ])
 def test_bad_flag_values_are_usage_errors(job_path, argv):
     code, out, err = invoke(argv + ["-i", job_path])

@@ -5,7 +5,8 @@ import pytest
 
 from fjump import (Ideal, Poly, PreconditionError, ResourceLimitError, TauParams,
                    bracket_power, denominator_bound, f_threshold, fpt,
-                   is_member, is_subset, jumping_exponents, nu, nu_bruteforce)
+                   is_member, is_subset, jumping_exponents, nu, nu_bruteforce,
+                   simplest_between)
 from fjump import test_ideal as tau
 
 from conftest import random_monomial_ideal, random_poly, ring
@@ -163,7 +164,7 @@ def test_threshold_bracket_and_guess_examples():
     est = f_threshold(R2.ideal("x", "y"), R2.ideal("x", "y"), 4)
     assert est.guess == 2
     assert est.lower <= 2 <= est.upper
-    assert not est.certified
+    assert est.certified
 
 
 def test_fpt_examples():
@@ -174,6 +175,58 @@ def test_fpt_examples():
     est = fpt(R7.ideal("x^2+y^3"), 2)
     assert est.guess == Fraction(5, 6)
     assert [r.nu for r in est.records] == [5, 40]
+
+
+def test_monomial_thresholds_are_certified_gauge_maxima():
+    # tau(a^c) lies in J exactly from the threshold on, through the closed
+    # form for monomial tau, on random monomial a and m-primary monomial J.
+    rnd = random.Random(71)
+    done = 0
+    while done < 100:
+        R = ring(rnd.choice([2, 3]), "x", "y")
+        a = Ideal(R, [R.monomial((rnd.randint(0, 4), rnd.randint(0, 4)))
+                      for _ in range(rnd.randint(1, 3))])
+        if a.is_unit():
+            continue
+        J = R.ideal(f"x^{rnd.randint(1, 3)}", f"y^{rnd.randint(1, 3)}",
+                    f"x^{rnd.randint(1, 2)}*y^{rnd.randint(1, 2)}")
+        est = f_threshold(a, J, rnd.choice([1, 2]))
+        assert est.certified
+        assert est.lower <= est.guess <= est.upper
+        assert is_subset(tau(a, est.guess).ideal, J), (a, J, est.guess)
+        below = est.guess - Fraction(1, 10**4)
+        assert not is_subset(tau(a, below).ideal, J), (a, J, est.guess)
+        done += 1
+
+
+def test_principal_guess_is_the_simplest_rational_of_the_last_cell():
+    # nu(q) = ceil(c q) - 1 for a hypersurface (Mustata-Takagi-Watanabe).
+    for a, J, e_max in _hypersurfaces(73, 15):
+        est = f_threshold(a, J, e_max)
+        last = est.records[-1]
+        assert est.guess == simplest_between(Fraction(last.nu, last.q),
+                                             Fraction(last.nu + 1, last.q))
+        assert not est.certified
+
+
+def test_threshold_regressions():
+    R2xy = ring(2, "x", "y")
+    est = f_threshold(R2xy.ideal("x^3*y^2"), R2xy.ideal("x", "y"), 3)
+    assert (est.guess, est.certified) == (Fraction(1, 3), True)
+    assert fpt(R2x.ideal("x^4"), 2).guess == Fraction(1, 4)
+    est = fpt(ring(7, "x", "y").ideal("x^2", "x*y", "y^3"), 2)
+    assert (est.guess, est.certified) == (1, True)
+    est = f_threshold(R2.ideal("x", "y"), R2.ideal("1"), 2)
+    assert (est.guess, est.certified) == (0, True)
+
+
+def test_removed_cap_parameters_are_type_errors():
+    with pytest.raises(TypeError):
+        fpt(R2x.ideal("x"), 2, cap=10)
+    with pytest.raises(TypeError):
+        f_threshold(R2x.ideal("x"), R2x.ideal("x"), 2, cap=10)
+    with pytest.raises(TypeError):
+        denominator_bound(R2x.ideal("x"), cap=10)
 
 
 def test_fpt_requires_vanishing_at_origin():
@@ -210,9 +263,6 @@ def test_denominator_bound_examples():
     db = denominator_bound(R2.ideal("x", "y"))
     assert (db.m, db.d, db.e0, db.N, db.a_max, db.b_max) == (2, 1, 2, 6, 8, 6)
     assert db.max_denominator == 2**8 * (2**6 - 1)
-    # the warning flag fires exactly when the family outgrows the user cap
-    assert denominator_bound(R2.ideal("x"), cap=10).capped is True
-    assert denominator_bound(R2.ideal("x"), cap=10**6).capped is False
 
 
 def test_denominator_admissibility():
@@ -259,6 +309,8 @@ def test_jump_preconditions():
         jumping_exponents(Ideal(R2, []), 1)
     with pytest.raises(PreconditionError):
         jumping_exponents(R2.ideal("x"), 0)
+    with pytest.raises(PreconditionError):
+        jumping_exponents(R2.ideal("x"), 1, cap=0)
 
 
 def _random_jump_family(rnd):
