@@ -78,16 +78,26 @@ def power_root(f: Poly, r: int, e: int, *, e_limit: int | None = None) -> Ideal:
     _check_e(e, e_limit)
     if r < 0:
         raise FjumpError("powers need a nonnegative exponent")
+    return _power_root(f, r, e, {})
+
+
+def _power_root(f: Poly, r: int, e: int, powers: dict) -> Ideal:
+    """``power_root`` without its checks, taking each f^k from the table
+    powers (k -> f^k) and adding the ones it expands."""
     ring = f.ring
+
+    def times_power(I: Ideal, k: int) -> Ideal:
+        if k not in powers:
+            powers[k] = f ** k
+        return ideal_product(I, Ideal(ring, [powers[k]]))
+
     out = Ideal(ring, [ring.one()])
     for _ in range(e):
         r, d = divmod(r, ring.p)
         if d:
-            out = ideal_product(out, Ideal(ring, [f ** d]))
-        out = frobenius_root(out, 1, e_limit=e_limit)
-    if r:
-        out = ideal_product(out, Ideal(ring, [f ** r]))
-    return out
+            out = times_power(out, d)
+        out = frobenius_root(out, 1)
+    return times_power(out, r) if r else out
 
 
 def root_scaled(b: Ideal, e_num: int, e_den: int, *, e_limit: int | None = None) -> Ideal:

@@ -6,6 +6,9 @@ through the monomial order, so the reduced basis of an ideal is not just
 mathematically unique but reproduced bit-for-bit across runs.  Each
 ideal memoizes its reduced grevlex basis; the fill is idempotent, so
 concurrent readers can at worst duplicate work.
+
+Membership, containment and radical membership in an ideal generated by
+monomials go term by term, with no basis and no step cap.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ POWER_TERM_BUDGET = 2_000_000
 class Ideal:
     """An ideal given by generators; the zero ideal has none.
 
-    Equality, containment and membership are decided through the cached
-    reduced Groebner basis, so ``==`` means mathematical equality.
+    Equality is decided through the cached reduced Groebner basis, so
+    ``==`` means mathematical equality.  Containment in and membership of
+    an ideal use that basis too, unless the ideal is generated by monomials.
     """
 
     __slots__ = ("ring", "gens", "_gb")
@@ -285,36 +289,50 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX, *,
     return GroebnerBasis(ring, order, tuple(final))
 
 
+def _reducers(gb: GroebnerBasis) -> list:
+    leads = [g.lead_term(gb.order) for g in gb.polys]
+    return [(e, gb.ring.field.inv(c), g._terms)
+            for (e, c), g in zip(leads, gb.polys)]
+
+
 def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
     """The remainder of f on division by the basis; zero iff f lies in
     the ideal the basis generates."""
     if f.ring != gb.ring:
         raise RingMismatchError("polynomial and basis live in different rings")
-    p = gb.ring.p
-    keyf = gb.order.key
-    entries = [(g.lead_term(gb.order)[0], gb.ring.field.inv(g.lead_term(gb.order)[1]),
-                g._terms) for g in gb.polys]
-    budget = _Budget(DEFAULT_STEP_LIMIT)
-    nf = _normal_form_dict(dict(f._terms), entries, keyf, p, budget)
+    nf = _normal_form_dict(f._terms, _reducers(gb), gb.order.key, gb.ring.p,
+                           _Budget(DEFAULT_STEP_LIMIT))
     return Poly.from_terms(gb.ring, nf.items())
 
 
+def _all_in(polys, J: Ideal, step_limit: int | None) -> bool:
+    """Whether all polys lie in J: term by term for J generated by monomials
+    (a term lies in J when a generator divides it), else by reductions
+    against J's basis that share one budget of step_limit steps."""
+    if all(g.is_term() for g in J.gens):
+        gens = [next(iter(g._terms)) for g in J.gens]
+        return all(any(all(a >= b for a, b in zip(e, u)) for u in gens)
+                   for f in polys for e in f._terms)
+    gb = J.groebner_basis(step_limit=step_limit)
+    entries = _reducers(gb)
+    budget = _Budget(DEFAULT_STEP_LIMIT if step_limit is None else step_limit)
+    return not any(_normal_form_dict(f._terms, entries, gb.order.key,
+                                     gb.ring.p, budget) for f in polys)
+
+
 def is_member(f: Poly, I: Ideal, *, step_limit: int | None = None) -> bool:
+    """f in I, as in ``is_subset``."""
     if f.ring != I.ring:
         raise RingMismatchError("polynomial and ideal live in different rings")
-    if f.is_zero():
-        return True
-    if I.is_zero():
-        return False
-    return normal_form(f, I.groebner_basis(step_limit=step_limit)).is_zero()
+    return f.is_zero() or _all_in((f,), I, step_limit)
 
 
 def is_subset(I: Ideal, J: Ideal, *, step_limit: int | None = None) -> bool:
+    """I inside J: term by term when J is generated by monomials, with J's
+    basis neither computed nor cached; else by reduction against J's basis.
+    Computing that basis and the reductions get step_limit steps each."""
     _check_same_ring(I, J)
-    if I.is_zero():
-        return True
-    gb = J.groebner_basis(step_limit=step_limit)
-    return all(normal_form(g, gb).is_zero() for g in I.gens)
+    return I.is_zero() or _all_in(I.gens, J, step_limit)
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -398,13 +416,18 @@ def ideal_intersect(I: Ideal, J: Ideal, *, step_limit: int | None = None) -> Ide
 
 
 def radical_member(f: Poly, I: Ideal, *, step_limit: int | None = None) -> bool:
-    """f in rad(I), by the Rabinowitsch trick: adjoin t and ask whether
-    1 lies in I + (1 - t*f)."""
+    """f in rad(I).  For I generated by monomials, by supports: x^v lies in
+    rad(I) when supp(u) lies in supp(v) for a generator x^u.  Otherwise by
+    the Rabinowitsch trick: adjoin t and ask whether 1 lies in I + (1 - t*f)."""
     if f.ring != I.ring:
         raise RingMismatchError("polynomial and ideal live in different rings")
     ring = I.ring
     if f.is_zero():
         return True
+    if all(g.is_term() for g in I.gens):
+        gens = [next(iter(g._terms)) for g in I.gens]
+        return all(any(all(a or not b for a, b in zip(v, u)) for u in gens)
+                   for v in f._terms)
     ext, _ = _extend_ring(ring, first=False)
     gens = [Poly.from_terms(ext, [(e + (0,), c) for e, c in g._terms.items()])
             for g in I.gens]

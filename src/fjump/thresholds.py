@@ -11,7 +11,8 @@ sum floor(k_i/q') >= v + 1, so a^{q'v+m(q'-1)+1} lies in (a^{v+1})^[q'].
 With v = nu(q), that is inside J^[qq'], so nu(qq') <= q' nu(q) + m(q'-1).
 
 a^r lies in J^[q] exactly when its root (a^r)^[1/q] lies in J, so nu needs
-J's Groebner basis and roots only.  By flatness of Frobenius and the step
+roots and containment in J only: through J's Groebner basis, or term by
+term when J is generated by monomials.  By flatness of Frobenius and the step
 above with q' = p, nu(pq) lies in [p nu(q), p nu(q) + m(p-1)]
 (Mustata-Takagi-Watanabe for m = 1), so nu is walked up one level at a
 time from nu(1) = ell - 1, ell the least power of a inside J, testing at
@@ -33,7 +34,7 @@ from itertools import product
 from math import comb
 
 from .errors import PreconditionError, ResourceLimitError
-from .frobroot import _check_e, frobenius_root, power_root
+from .frobroot import _check_e, _power_root, frobenius_root
 from .groebner import Ideal, ideal_power, is_subset, radical_member
 from .newton import facets
 from .oracle import minimal_vectors, monomial_exponents
@@ -132,16 +133,19 @@ def _nu_setup(a: Ideal, J: Ideal, *, gen_limit, step_limit) -> int:
 def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
                gen_limit, step_limit, e_limit) -> list[int]:
     """nu(p^e) for e = e_min..e_max from one walk up from nu(1) = ell - 1,
-    with the preconditions and ell found once (J caches its basis).  Each
-    level tests the window (p nu, p nu + m(p - 1)] from the top; its bottom
-    holds by flatness of Frobenius, so it is the answer when nothing
-    escapes."""
+    with the preconditions and ell found once.  Each level tests the window
+    (p nu, p nu + m(p - 1)] from the top; its bottom holds by flatness of
+    Frobenius, so it is the answer when nothing escapes.  For a = (f) the
+    walk expands each power f^k of its digit descents once, in a table
+    that lives as long as the call; a test against J takes J's basis, or
+    none when J is generated by monomials."""
     ell = _nu_setup(a, J, gen_limit=gen_limit, step_limit=step_limit)
     _check_e(e_max, e_limit)
+    powers: dict = {}
 
     def root(r: int, e: int) -> Ideal:
         if len(a.gens) == 1:
-            return power_root(a.gens[0], r, e, e_limit=e_limit)
+            return _power_root(a.gens[0], r, e, powers)
         return frobenius_root(ideal_power(a, r, gen_limit=gen_limit), e,
                               e_limit=e_limit)
 
@@ -166,10 +170,12 @@ def nu(a: Ideal, J: Ideal, e: int, *,
 
     Containment of a^r in the bracket power is equivalent to the level-e
     root of a^r landing inside J (that is exactly the minimality in the
-    definition of the root), so only one Groebner basis -- J's -- is ever
-    needed.  nu is walked up from nu(1) = ell - 1 one level at a time,
-    testing at most m(p - 1) candidates per level, m the generator count;
-    for a = (f) each root is taken by digit descent (``power_root``)."""
+    definition of the root), so at most one Groebner basis -- J's -- is
+    ever needed, and none when J is generated by monomials: then every
+    test, the rad(J) precondition included, goes term by term.  nu is
+    walked up from nu(1) = ell - 1 one level at a time, testing at most
+    m(p - 1) candidates per level, m the generator count; for a = (f) each
+    root is taken by digit descent (``power_root``)."""
     if e < 1:
         raise PreconditionError("nu needs e >= 1")
     return _nu_levels(a, J, e, e, gen_limit=gen_limit, step_limit=step_limit,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fjump import (GREVLEX, LEX, Ideal, ResourceLimitError, buchberger,
+from fjump import (GREVLEX, LEX, Ideal, Poly, ResourceLimitError, buchberger,
                    generated_in_degree, ideal_intersect, ideal_power,
                    ideal_product, ideal_sum, is_member, is_subset, normal_form,
                    radical_member)
@@ -155,6 +155,93 @@ def test_intersection_agrees_with_membership():
 def test_step_cap_raises():
     with pytest.raises(ResourceLimitError):
         buchberger(R3.ideal("x^3+y^2+1", "x*y^2+x+1", "y^3+x^2*y"), step_limit=3)
+
+
+def test_containment_spends_the_callers_step_cap():
+    # J's basis is cached first, so only the reductions can spend the cap;
+    # y^4 - x^2 = (y^2 - x)(y^2 + x) needs two of them.
+    J = R3.ideal("y^2+x")
+    J.groebner_basis()
+    I = R3.ideal("y^4-x^2")
+    assert is_subset(I, J, step_limit=2)
+    with pytest.raises(ResourceLimitError):
+        is_subset(I, J, step_limit=1)
+    with pytest.raises(ResourceLimitError):
+        is_member(I.gens[0], J, step_limit=1)
+
+
+def _random_term_ideal(rnd, R):
+    """An ideal generated by terms: non-minimal (a multiple of another
+    generator), repeated (the same monomial, rescaled) and non-monic
+    generators, sometimes the unit or the zero ideal."""
+    roll = rnd.random()
+    if roll < 0.1:
+        return Ideal(R, [])
+    gens = []
+    if roll < 0.2:
+        gens.append(R.monomial((0,) * R.nvars, rnd.randint(1, R.p - 1)))
+    for _ in range(rnd.randint(1, 3)):
+        u = tuple(rnd.randint(0, 3) for _ in range(R.nvars))
+        gens.append(R.monomial(u, rnd.randint(1, R.p - 1)))
+        if rnd.random() < 0.5:
+            gens.append(R.monomial(tuple(x + rnd.randint(0, 2) for x in u),
+                                   rnd.randint(1, R.p - 1)))
+        if rnd.random() < 0.5:
+            gens.append(R.monomial(u, rnd.randint(1, R.p - 1)))
+    return Ideal(R, gens)
+
+
+def _random_cases(seed, count):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        R = ring(rnd.choice([2, 3, 5, 7]), *"xyz"[:rnd.randint(1, 3)])
+        J = _random_term_ideal(rnd, R)
+        # Half the polynomials are combinations of J's generators, so
+        # containment holds often enough to test both answers.
+        polys = []
+        for _ in range(rnd.randint(1, 3)):
+            f = random_poly(rnd, R, max_degree=5, max_terms=4)
+            if J.gens and rnd.random() < 0.5:
+                f = sum((g * random_poly(rnd, R, max_degree=3, max_terms=2)
+                         for g in J.gens), R.zero())
+            polys.append(f)
+        yield R, J, polys
+
+
+def test_termwise_containment_matches_the_reducer():
+    answers = set()
+    for R, J, polys in _random_cases(29, 300):
+        gb = buchberger(J)
+        for f in polys:
+            want = normal_form(f, gb).is_zero()
+            assert is_member(f, J) == want
+            answers.add(want)
+        I = Ideal(R, polys)
+        assert is_subset(I, J) == all(normal_form(g, gb).is_zero() for g in I.gens)
+        assert J._gb is None  # the termwise path neither needs nor caches it
+    assert answers == {True, False}
+
+
+def _rabinowitsch(f, I):
+    # f in rad(I) iff 1 lies in I + (1 - t f), t a fresh variable.
+    R = I.ring
+    S = ring(R.p, *R.var_names, "t")
+
+    def lift(g, t):
+        return [(e + (t,), c) for e, c in g._terms.items()]
+    gens = [Poly.from_terms(S, lift(g, 0)) for g in I.gens]
+    gens.append(Poly.from_terms(S, [((0,) * S.nvars, 1)]) - Poly.from_terms(S, lift(f, 1)))
+    return [str(g) for g in buchberger(Ideal(S, gens)).polys] == ["1"]
+
+
+def test_radical_membership_by_supports_matches_rabinowitsch():
+    answers = set()
+    for R, J, polys in _random_cases(31, 300):
+        for f in polys:
+            want = _rabinowitsch(f, J)
+            assert radical_member(f, J) == want
+            answers.add(want)
+    assert answers == {True, False}
 
 
 def test_lex_vs_grevlex_bases_differ_but_agree_on_membership():

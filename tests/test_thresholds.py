@@ -48,8 +48,11 @@ def test_nu_preconditions():
 
 
 def test_nu_preconditions_honour_the_step_cap():
+    # A non-monomial J goes through Buchberger, which the cap bounds.
     with pytest.raises(ResourceLimitError):
-        nu(R3.ideal("x^2+y^3"), R3.ideal("x", "y"), 1, step_limit=1)
+        nu(R3.ideal("x^2+y^3"), R3.ideal("x+y^2", "y^3"), 1, step_limit=1)
+    # A monomial J takes no Groebner step, so the cap never binds.
+    assert nu(R3.ideal("x^2+y^3"), R3.ideal("x", "y"), 1, step_limit=1) == 1
 
 
 def test_nu_matches_bruteforce_on_small_instances():
@@ -70,6 +73,23 @@ def test_nu_matches_bruteforce_on_small_instances():
             continue
         e = rnd.choice([1, 2])
         assert nu(a, J, e) == nu_bruteforce(a, J, e)
+        hits += 1
+
+
+def test_nu_of_hypersurfaces_at_the_maximal_ideal_matches_bruteforce():
+    # Non-monomial f, so every root of the walk is a digit descent tested
+    # term by term against m, while the brute force reduces a^r by a basis.
+    rnd = random.Random(71)
+    hits = 0
+    while hits < 20:
+        p = rnd.choice([2, 3, 5, 7])
+        R = ring(p, *"xyz"[:rnd.randint(1, 3)])
+        f = random_poly(rnd, R, max_degree=3, max_terms=3, nonzero=True)
+        if f.is_term() or f.coeff((0,) * R.nvars):
+            continue
+        a, m = Ideal(R, [f]), Ideal(R, [R.var(i) for i in range(R.nvars)])
+        for e in (1, 2):
+            assert nu(a, m, e) == nu_bruteforce(a, m, e)
         hits += 1
 
 
