@@ -6,7 +6,7 @@ arbitrary-precision rationals.  The interesting objects are
 
 * ``bracket_power(J, e)``      - J^[p^e]
 * ``frobenius_root(b, e)``     - the smallest J with b inside J^[p^e]
-* ``power_root(f, r, e)``      - (f^r)^[1/p^e] by digit descent
+* ``power_root(a, r, e)``      - (a^r)^[1/p^e] by digit descent
 * ``test_ideal(a, c)``         - the stable value of (a^ceil(c p^e))^[1/p^e]
 * ``nu`` / ``f_threshold``     - membership counts and their limit brackets
 * ``jumping_exponents``        - where the test-ideal family drops

@@ -160,8 +160,8 @@ def _dict_submul(h: dict, c: int, shift: tuple[int, ...], g: dict, p: int):
 class _Budget:
     __slots__ = ("left",)
 
-    def __init__(self, limit: int):
-        self.left = limit
+    def __init__(self, limit: int | None = None):
+        self.left = DEFAULT_STEP_LIMIT if limit is None else limit
 
     def spend(self, n: int = 1):
         self.left -= n
@@ -203,7 +203,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX, *,
     returns a wrong basis.
     """
     ring, gens = I.ring, I.gens
-    budget = _Budget(DEFAULT_STEP_LIMIT if step_limit is None else step_limit)
+    budget = _Budget(step_limit)
     p = ring.p
     keyf = order.key
 
@@ -301,7 +301,7 @@ def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
     if f.ring != gb.ring:
         raise RingMismatchError("polynomial and basis live in different rings")
     nf = _normal_form_dict(f._terms, _reducers(gb), gb.order.key, gb.ring.p,
-                           _Budget(DEFAULT_STEP_LIMIT))
+                           _Budget())
     return Poly.from_terms(gb.ring, nf.items())
 
 
@@ -313,9 +313,13 @@ def _all_in(polys, J: Ideal, step_limit: int | None) -> bool:
         gens = [next(iter(g._terms)) for g in J.gens]
         return all(any(all(a >= b for a, b in zip(e, u)) for u in gens)
                    for f in polys for e in f._terms)
-    gb = J.groebner_basis(step_limit=step_limit)
+    return _reduce_to_zero(polys, J.groebner_basis(step_limit=step_limit),
+                           _Budget(step_limit))
+
+
+def _reduce_to_zero(polys, gb: GroebnerBasis, budget: _Budget) -> bool:
+    """Whether every poly reduces to zero by the basis, spending budget."""
     entries = _reducers(gb)
-    budget = _Budget(DEFAULT_STEP_LIMIT if step_limit is None else step_limit)
     return not any(_normal_form_dict(f._terms, entries, gb.order.key,
                                      gb.ring.p, budget) for f in polys)
 

@@ -15,7 +15,8 @@ from math import ceil
 
 from .errors import FjumpError, PreconditionError, ResourceLimitError
 from .frobroot import bracket_power, frobenius_root
-from .groebner import DEFAULT_GEN_LIMIT, Ideal, ideal_power, normal_form
+from .groebner import (DEFAULT_GEN_LIMIT, Ideal, _Budget, _reduce_to_zero,
+                       ideal_power)
 from .multipoly import RingCtx
 
 
@@ -177,16 +178,19 @@ def nu_bruteforce(a: Ideal, J: Ideal, e: int, *,
                   max_r: int = 100_000) -> int:
     """Largest r with a^r not contained in J^[p^e], found by counting up
     from r = 0 and testing every generator of a^r by Groebner reduction.
-    Meant for small instances; the fast path in ``thresholds`` must agree."""
+    The bracket's basis gets step_limit steps, and all the reductions
+    share one budget of step_limit more.  Meant for small instances; the
+    fast path in ``thresholds`` must agree."""
     if a.is_zero():
         raise PreconditionError("nu is undefined for the zero ideal")
     bracket = bracket_power(J, e)
     gb = bracket.groebner_basis(step_limit=step_limit)
+    budget = _Budget(step_limit)
     last_outside = None
     r = 0
     while r <= max_r:
         power = ideal_power(a, r, gen_limit=gen_limit)
-        if all(normal_form(g, gb).is_zero() for g in power.gens):
+        if _reduce_to_zero(power.gens, gb, budget):
             return last_outside if last_outside is not None else 0
         last_outside = r
         r += 1

@@ -16,9 +16,11 @@ enough.  Results carry a ``certified`` flag:
 
       (a^ceil(c q))^[1/q]  <=  tau(a^c)  <=  (a^(floor(c q) - m + 1))^[1/q],
 
-  with the powers multiplied factor by factor for mixed test ideals.  The
-  scan stops at the first level where the upper bound lies inside the
-  chain term, which proves the result (certified = True).  At a jump the
+  with the powers multiplied factor by factor for mixed test ideals.  A
+  single ideal with several generators takes both roots by digit descent
+  (``frobroot.power_root``), without expanding the power.  The scan stops
+  at the first level where the upper bound lies inside the chain term,
+  which proves the result (certified = True).  At a jump the
   two sides never meet; the fallback there is a plateau: the chain value
   repeating ``plateau`` times in a row and surviving a few probes at
   levels in phase with the denominator of c.  A plateau can be premature,
@@ -40,7 +42,7 @@ from math import ceil, comb, floor, lcm
 
 from .errors import (FjumpError, InconclusiveError, PreconditionError,
                      ResourceLimitError)
-from .frobroot import frobenius_root, power_root
+from .frobroot import _check_e, _power_root, frobenius_root, power_root
 from .groebner import (Ideal, generated_in_degree, ideal_power, ideal_product,
                        is_subset)
 from .multipoly import RingCtx
@@ -234,7 +236,7 @@ def _scan_chain(pairs, params: TauParams, *, gen_limit, step_limit, e_limit):
         if level and rest == 1:
             # tau(f^(r/p^a)) = (f^r)^[1/p^a] (BMS), the chain term at every
             # level from a on.
-            value = power_root(a.gens[0], c.numerator, level,
+            value = power_root(a, c.numerator, level,
                                e_limit=e_limit).reduced(step_limit=step_limit)
             return TauResult(value, level, True, ((level, value),))
     return _scan_chain_general(pairs, params, gen_limit=gen_limit,
@@ -247,16 +249,24 @@ def _scan_chain_general(pairs, params: TauParams, *, gen_limit, step_limit, e_li
 
     # Chain terms and upper bounds of this call, keyed by (exponent vector,
     # level); an upper bound whose vector equals the lower one is a hit.
+    # One factor with several generators takes its roots by digit descent,
+    # sharing one table of products; the rest expand the power product.
     cache: dict = {}
+    table: dict = {}
 
     def root_of(rs: tuple, e: int) -> Ideal:
         got = cache.get((rs, e))
         if got is None:
-            prod = None
-            for (a, _), r in zip(pairs, rs):
-                piece = ideal_power(a, r, gen_limit=gen_limit)
-                prod = piece if prod is None else ideal_product(prod, piece)
-            got = frobenius_root(prod, e, e_limit=e_limit)
+            if len(pairs) == 1 and len(pairs[0][0].gens) > 1:
+                _check_e(e, e_limit)
+                got = _power_root(pairs[0][0], rs[0], e, table,
+                                  gen_limit=gen_limit)
+            else:
+                prod = None
+                for (a, _), r in zip(pairs, rs):
+                    piece = ideal_power(a, r, gen_limit=gen_limit)
+                    prod = piece if prod is None else ideal_product(prod, piece)
+                got = frobenius_root(prod, e, e_limit=e_limit)
             cache[rs, e] = got
         return got
 

@@ -16,8 +16,8 @@ term when J is generated by monomials.  By flatness of Frobenius and the step
 above with q' = p, nu(pq) lies in [p nu(q), p nu(q) + m(p-1)]
 (Mustata-Takagi-Watanabe for m = 1), so nu is walked up one level at a
 time from nu(1) = ell - 1, ell the least power of a inside J, testing at
-most m(p-1) candidates per level.  A principal ideal (f) takes each root
-by digit descent without expanding f^r.
+most m(p-1) candidates per level.  Each root is taken by digit descent
+(``frobroot.power_root``) without expanding a^r.
 
 Jumping exponents of the test-ideal family are located by bisecting on
 test-ideal equality (the family is constant between jumps and
@@ -34,7 +34,7 @@ from itertools import product
 from math import comb
 
 from .errors import PreconditionError, ResourceLimitError
-from .frobroot import _check_e, _power_root, frobenius_root
+from .frobroot import _check_e, _power_root
 from .groebner import Ideal, ideal_power, is_subset, radical_member
 from .newton import facets
 from .oracle import minimal_vectors, monomial_exponents
@@ -135,20 +135,13 @@ def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
     """nu(p^e) for e = e_min..e_max from one walk up from nu(1) = ell - 1,
     with the preconditions and ell found once.  Each level tests the window
     (p nu, p nu + m(p - 1)] from the top; its bottom holds by flatness of
-    Frobenius, so it is the answer when nothing escapes.  For a = (f) the
-    walk expands each power f^k of its digit descents once, in a table
-    that lives as long as the call; a test against J takes J's basis, or
-    none when J is generated by monomials."""
+    Frobenius, so it is the answer when nothing escapes.  Each root is a
+    digit descent, and the walk expands each product of generators its
+    descents use once, in a table that lives as long as the call; a test
+    against J takes J's basis, or none when J is generated by monomials."""
     ell = _nu_setup(a, J, gen_limit=gen_limit, step_limit=step_limit)
     _check_e(e_max, e_limit)
-    powers: dict = {}
-
-    def root(r: int, e: int) -> Ideal:
-        if len(a.gens) == 1:
-            return _power_root(a.gens[0], r, e, powers)
-        return frobenius_root(ideal_power(a, r, gen_limit=gen_limit), e,
-                              e_limit=e_limit)
-
+    table: dict = {}
     p = a.ring.p
     width = len(a.gens) * (p - 1)
     out = []
@@ -156,7 +149,8 @@ def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
     for e in range(1, e_max + 1):
         base = p * v
         v = next((r for r in range(base + width, base, -1)
-                  if not is_subset(root(r, e), J, step_limit=step_limit)),
+                  if not is_subset(_power_root(a, r, e, table, gen_limit=gen_limit),
+                                   J, step_limit=step_limit)),
                  base)
         out.append(v)
     return out[e_min - 1:]
@@ -174,8 +168,11 @@ def nu(a: Ideal, J: Ideal, e: int, *,
     ever needed, and none when J is generated by monomials: then every
     test, the rad(J) precondition included, goes term by term.  nu is
     walked up from nu(1) = ell - 1 one level at a time, testing at most
-    m(p - 1) candidates per level, m the generator count; for a = (f) each
-    root is taken by digit descent (``power_root``)."""
+    m(p - 1) candidates per level, m the generator count; each root is
+    taken by digit descent (``power_root``), so ``gen_limit`` bounds the
+    powers a^ell of the start, the final a^j of each descent (j near
+    r/p^e) and the powers of at most 3 generators it expands outright, not
+    a^r."""
     if e < 1:
         raise PreconditionError("nu needs e >= 1")
     return _nu_levels(a, J, e, e, gen_limit=gen_limit, step_limit=step_limit,

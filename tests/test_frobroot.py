@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -6,6 +7,7 @@ from fjump import (Ideal, ResourceLimitError, bracket_power, frobenius_root,
                    ideal_intersect, ideal_power, ideal_product, ideal_sum,
                    is_member, is_subset, power_root, root_monomial,
                    root_scaled)
+from fjump.frobroot import _LITERAL_GENS
 
 from conftest import random_ideal, random_monomial_ideal, random_poly, ring
 
@@ -45,6 +47,29 @@ def test_power_root_matches_the_literal_root():
         assert power_root(f, r, e) == frobenius_root(ideal_power(Ideal(R, [f]), r), e)
     with pytest.raises(ResourceLimitError):
         power_root(R2.poly("x+y"), 1, 9, e_limit=8)
+
+
+def test_power_root_of_an_ideal_matches_the_literal_root():
+    # Digit descent for 1-3 generators, monomial or not, on both sides of
+    # the literal-power switch, with r = 0 and r < p among the exponents.
+    rnd = random.Random(83)
+    seen = set()
+    for _ in range(150):
+        p = rnd.choice([2, 3, 5])
+        R = ring(p, "x", "y")
+        if rnd.random() < 0.5:
+            a = random_ideal(rnd, R, max_gens=3, max_degree=3)
+        else:
+            a = random_monomial_ideal(rnd, R, max_gens=3, max_exp=4)
+        e = rnd.randint(1, 3)
+        r = rnd.choice([0, rnd.randrange(p), rnd.randint(0, 12)])
+        m = len(a.gens)
+        seen.add((m, r == 0, r < p, comb(r + m - 1, m - 1) > _LITERAL_GENS))
+        assert power_root(a, r, e) == frobenius_root(ideal_power(a, r), e), (a, r, e)
+    assert {(m, big) for m, _, _, big in seen} >= {(1, False), (2, False), (2, True),
+                                                   (3, False), (3, True)}
+    assert {(m, small) for m, _, small, big in seen if big} >= {(2, True), (3, True)}
+    assert {zero for _, zero, _, _ in seen} == {True, False}
 
 
 def test_root_minimality_on_the_derived_example():

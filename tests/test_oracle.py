@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from fjump import (Ideal, PreconditionError, frobenius_root, ideal_power,
-                   integral_closure_monomial, is_subset, nu_bruteforce,
-                   root_monomial)
+from fjump import (Ideal, PreconditionError, ResourceLimitError,
+                   frobenius_root, ideal_power, integral_closure_monomial,
+                   is_subset, nu_bruteforce, root_monomial)
 from fjump import test_ideal_chain as raw_chain
 from fjump.oracle import (minimal_vectors, monomial_exponents, monomial_ideal,
                           power_root_vectors)
@@ -84,6 +84,15 @@ def test_nu_bruteforce_examples():
     assert nu_bruteforce(R2.ideal("x", "y"), R2.ideal("x", "y"), 1) == 2
     R7 = ring(7, "x", "y")
     assert nu_bruteforce(R7.ideal("x^2+y^3"), R7.ideal("x", "y"), 1) == 5
+
+
+def test_nu_bruteforce_spends_one_step_budget():
+    # Every reduction of a^0 .. a^9 against the bracket's basis draws on one
+    # budget, so three steps cannot answer.
+    a, J = R3.ideal("x^2+y^3"), R3.ideal("x+y^2", "y^3")
+    assert nu_bruteforce(a, J, 2) == 8
+    with pytest.raises(ResourceLimitError):
+        nu_bruteforce(a, J, 2, step_limit=3)
 
 
 def test_nu_bruteforce_zero_convention():

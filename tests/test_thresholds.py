@@ -131,11 +131,20 @@ def test_threshold_records_equal_per_level_nu():
 
 
 def test_nu_walk_stays_inside_the_generator_cap():
-    # The window's largest power at q = 25 is a^32 (561 generators); an
-    # upper end of ell (m (q - 1) + 1) = 73 would need a^36 (703) first.
+    # The window's largest power at q = 25 is a^32 (561 generators).  Digit
+    # descent expands none of the window's powers, only a^j with j <= 2 at
+    # the end of each descent, so 6 generators suffice.
     R5 = ring(5, "x", "y")
     a, m = R5.ideal("x^2", "x*y", "y^3"), R5.ideal("x", "y")
-    assert nu(a, m, 2, gen_limit=600) == nu_bruteforce(a, m, 2) == 24
+    assert nu(a, m, 2, gen_limit=6) == nu_bruteforce(a, m, 2) == 24
+
+
+def test_fpt_of_several_generators_takes_roots_by_descent():
+    # The last window tests a^354 .. a^342, about 63 000 generators each,
+    # far past the cap; the descent never expands them.
+    est = fpt(ring(7, "x", "y").ideal("x^2", "x*y", "y^3"), 3, gen_limit=2000)
+    assert [r.nu for r in est.records] == [6, 48, 342]
+    assert (est.guess, est.certified) == (1, True)
 
 
 def test_nu_window_holds_for_several_generators():
