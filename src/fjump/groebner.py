@@ -276,14 +276,18 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX, *,
             minimal.append(i)
 
     # Tail-reduce every survivor against the others, then make monic; a
-    # result equal to an input generator is that generator's object.
+    # result equal to an input generator is that generator's object, and
+    # the results share one exponent tuple per monomial with the inputs,
+    # which trims what a kept basis holds.
     given = {g: g for g in gens}
+    monos = {e: e for g in gens for e in g._terms}
     final: list[Poly] = []
     for i in minimal:
         others = [basis[j] for j in minimal if j != i]
         nf = _normal_form_dict(basis[i][2], others, keyf, p, budget)
         inv = ring.field.inv(nf[max(nf, key=keyf)])
-        g = Poly.from_terms(ring, [(e, c * inv) for e, c in nf.items()])
+        g = Poly.from_terms(ring, [(monos.setdefault(e, e), c * inv)
+                                   for e, c in nf.items()])
         final.append(given.get(g, g))
     final.sort(key=lambda f: keyf(f.lead_term(order)[0]))
     return GroebnerBasis(ring, order, tuple(final))

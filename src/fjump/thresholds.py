@@ -171,8 +171,8 @@ def nu(a: Ideal, J: Ideal, e: int, *,
     m(p - 1) candidates per level, m the generator count; each root is
     taken by digit descent (``power_root``), so ``gen_limit`` bounds the
     powers a^ell of the start, the final a^j of each descent (j near
-    r/p^e) and the powers of at most 3 generators it expands outright, not
-    a^r."""
+    r/p^e) and the powers of at most 24 generators it expands outright,
+    not a^r."""
     if e < 1:
         raise PreconditionError("nu needs e >= 1")
     return _nu_levels(a, J, e, e, gen_limit=gen_limit, step_limit=step_limit,

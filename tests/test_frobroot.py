@@ -1,4 +1,5 @@
 import random
+from itertools import count
 from math import comb
 
 import pytest
@@ -7,7 +8,7 @@ from fjump import (Ideal, ResourceLimitError, bracket_power, frobenius_root,
                    ideal_intersect, ideal_power, ideal_product, ideal_sum,
                    is_member, is_subset, power_root, root_monomial,
                    root_scaled)
-from fjump.frobroot import _LITERAL_GENS
+from fjump import frobroot
 
 from conftest import random_ideal, random_monomial_ideal, random_poly, ring
 
@@ -49,9 +50,10 @@ def test_power_root_matches_the_literal_root():
         power_root(R2.poly("x+y"), 1, 9, e_limit=8)
 
 
-def test_power_root_of_an_ideal_matches_the_literal_root():
-    # Digit descent for 1-3 generators, monomial or not, on both sides of
-    # the literal-power switch, with r = 0 and r < p among the exponents.
+def test_power_root_of_an_ideal_matches_the_literal_root(monkeypatch):
+    # Digit descent for 1-3 generators, monomial or not, with r = 0, r < p
+    # and r on both sides of the literal-power switch; each case also runs
+    # with the switch at 0, so that the descent takes every r.
     rnd = random.Random(83)
     seen = set()
     for _ in range(150):
@@ -61,15 +63,21 @@ def test_power_root_of_an_ideal_matches_the_literal_root():
             a = random_ideal(rnd, R, max_gens=3, max_degree=3)
         else:
             a = random_monomial_ideal(rnd, R, max_gens=3, max_exp=4)
-        e = rnd.randint(1, 3)
-        r = rnd.choice([0, rnd.randrange(p), rnd.randint(0, 12)])
         m = len(a.gens)
-        seen.add((m, r == 0, r < p, comb(r + m - 1, m - 1) > _LITERAL_GENS))
-        assert power_root(a, r, e) == frobenius_root(ideal_power(a, r), e), (a, r, e)
-    assert {(m, big) for m, _, _, big in seen} >= {(1, False), (2, False), (2, True),
-                                                   (3, False), (3, True)}
-    assert {(m, small) for m, _, small, big in seen if big} >= {(2, True), (3, True)}
-    assert {zero for _, zero, _, _ in seen} == {True, False}
+        edge = 0 if m == 1 else next(
+            r for r in count() if comb(r + m - 1, m - 1) > frobroot._LITERAL_GENS)
+        e = rnd.randint(1, 3)
+        r = rnd.choice([0, rnd.randrange(p), rnd.randint(max(edge - 3, 0), edge + 3)])
+        seen.add((m, r == 0, r < p, r >= edge))
+        want = frobenius_root(ideal_power(a, r), e)
+        assert power_root(a, r, e) == want, (a, r, e)
+        with monkeypatch.context() as mp:
+            mp.setattr(frobroot, "_LITERAL_GENS", 0)
+            assert power_root(a, r, e) == want, (a, r, e)
+    assert {(m, big) for m, _, _, big in seen} == {(m, big) for m in (1, 2, 3)
+                                                   for big in (True, False)} - {(1, False)}
+    assert {(m, zero, small) for m, zero, small, _ in seen} >= {
+        (m, zero, True) for m in (1, 2, 3) for zero in (True, False)}
 
 
 def test_root_minimality_on_the_derived_example():

@@ -132,11 +132,12 @@ def test_threshold_records_equal_per_level_nu():
 
 def test_nu_walk_stays_inside_the_generator_cap():
     # The window's largest power at q = 25 is a^32 (561 generators).  Digit
-    # descent expands none of the window's powers, only a^j with j <= 2 at
-    # the end of each descent, so 6 generators suffice.
+    # descent expands only the powers below its literal-power switch (a^5,
+    # 21 generators, at q = 5) and a^j with j <= 2 at the end of each
+    # descent, so 24 generators suffice.
     R5 = ring(5, "x", "y")
     a, m = R5.ideal("x^2", "x*y", "y^3"), R5.ideal("x", "y")
-    assert nu(a, m, 2, gen_limit=6) == nu_bruteforce(a, m, 2) == 24
+    assert nu(a, m, 2, gen_limit=24) == nu_bruteforce(a, m, 2) == 24
 
 
 def test_fpt_of_several_generators_takes_roots_by_descent():
