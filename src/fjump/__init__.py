@@ -15,9 +15,8 @@ plus a deterministic Buchberger engine underneath and literal brute-force
 oracles alongside the fast paths.
 """
 
-from .errors import (FjumpError, InconclusiveError, JobFileError,
-                     PolyParseError, PreconditionError, ResourceLimitError,
-                     RingMismatchError)
+from .errors import (FjumpError, JobFileError, PolyParseError,
+                     PreconditionError, ResourceLimitError, RingMismatchError)
 from .gfp import PrimeField, is_prime
 from .multipoly import (EXP_LIMIT, GREVLEX, LEX, MonomialOrder, Poly,
                         RingCtx, elimination_order, parse)
@@ -38,7 +37,7 @@ from .jobfile import JobInput, load_job
 __version__ = "0.1.0"
 
 __all__ = [
-    "FjumpError", "InconclusiveError", "JobFileError", "PolyParseError",
+    "FjumpError", "JobFileError", "PolyParseError",
     "PreconditionError", "ResourceLimitError", "RingMismatchError",
     "PrimeField", "is_prime",
     "EXP_LIMIT", "GREVLEX", "LEX", "MonomialOrder", "Poly",

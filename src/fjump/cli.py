@@ -7,7 +7,7 @@ run one computation, emit a text or JSON report.  Exit codes:
     1  usage error (bad flags, oracle not applicable)
     2  input parse error (job file or rational syntax)
     3  precondition violation (e.g. a not inside rad(J))
-    4  resource limit hit or chain did not stabilize
+    4  resource limit hit, the tau block cap (--e-max) included
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import sys
 import time
 from math import ceil
 
-from .errors import (FjumpError, InconclusiveError, JobFileError,
-                     PolyParseError, PreconditionError, ResourceLimitError)
+from .errors import (FjumpError, JobFileError, PolyParseError,
+                     PreconditionError, ResourceLimitError)
 from .groebner import Ideal, buchberger
-from .frobroot import bracket_power, frobenius_root
+from .frobroot import _check_e, bracket_power, frobenius_root
 from .jobfile import JobInput, load_job
 from .multipoly import GREVLEX, LEX
 from .oracle import (monomial_exponents, monomial_ideal, nu_bruteforce,
@@ -110,10 +110,8 @@ def _build_parser() -> _Parser:
 
     def tau_flags(p):
         p.add_argument("--e-max", type=int, default=20,
-                       help="chain scan depth (default 20)")
-        p.add_argument("--plateau", type=int, default=2,
-                       help="repeats that count as stable when the bound "
-                            "does not close (default 2)")
+                       help="blocks of levels the descent may run before its "
+                            "state must repeat (default 20)")
 
     p = sub.add_parser("root", help="Frobenius root b^[1/p^e]")
     common(p)
@@ -187,8 +185,7 @@ def _limits(args) -> dict:
 
 
 def _params(args) -> TauParams:
-    return TauParams(e_max=_nat(args.e_max, "--e-max", 1),
-                     plateau=_nat(args.plateau, "--plateau", 1))
+    return TauParams(e_max=_nat(args.e_max, "--e-max", 1))
 
 
 def _run_command(args, job: JobInput):
@@ -213,8 +210,8 @@ def _run_command(args, job: JobInput):
         r = test_ideal(job.ideal(args.ideal), c, _params(args), **lim)
         result = {"generators": _gens(r.ideal), "c": format_rational(c)}
         if args.oracle:
-            reference = _chain_term(job.ideal(args.ideal), c,
-                                    r.stabilized_at + args.plateau, args.gen_cap)
+            reference = _chain_term(job.ideal(args.ideal), c, r.stabilized_at,
+                                    args.gen_cap, args.e_cap)
             result["oracle_agreement"] = _agree(r.ideal, reference)
         return result, {"stabilized_at": r.stabilized_at, "certified": r.certified}
     if args.command == "taumixed":
@@ -309,10 +306,12 @@ def _no_oracle(args):
         raise _UsageError(f"--oracle is not available for {args.command!r}")
 
 
-def _chain_term(I: Ideal, c, e: int, gen_cap: int) -> Ideal:
+def _chain_term(I: Ideal, c, e: int, gen_cap: int, e_cap: int) -> Ideal:
     """The raw chain term (I^ceil(c p^e))^[1/p^e].  For monomial generators
-    it comes from the floor formula, which never expands the power."""
+    it comes from the floor formula, which never expands the power; any
+    other ideal is expanded, so its level must be within the cap."""
     if I.is_zero() or not all(g.is_term() for g in I.gens):
+        _check_e(e, e_cap)
         return test_ideal_chain(I, c, e, gen_limit=gen_cap)[-1][1]
     q = I.ring.p ** e
     vecs = power_root_vectors([(monomial_exponents(I), ceil(c * q))], q,
@@ -350,10 +349,6 @@ def _render_text(report: dict, out):
         print("records: " + ", ".join(f"e={r['e']} nu={r['nu']}"
                                       for r in meta["records"]), file=out)
     print(f"certified: {str(meta['certified']).lower()}", file=out)
-    if not meta["certified"] and report["command"] in ("tau", "taumixed", "jumps"):
-        print("note: not proven; where the chain never met its upper bound, "
-              "the value is its first plateau (--plateau), which can be "
-              "premature", file=out)
 
 
 def run(argv, stdin=None, stdout=None, stderr=None) -> int:
@@ -380,12 +375,6 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     except PreconditionError as exc:
         print(f"fjump: precondition violated: {exc}", file=err)
         return 3
-    except InconclusiveError as exc:
-        print(f"fjump: inconclusive: {exc}", file=err)
-        for e, ideal in exc.chain:
-            print(f"  e={e}: ({', '.join(str(g) for g in ideal.gens) or '0'})",
-                  file=err)
-        return 4
     except ResourceLimitError as exc:
         print(f"fjump: resource limit: {exc}", file=err)
         return 4

@@ -35,14 +35,3 @@ class PreconditionError(FjumpError):
 class ResourceLimitError(FjumpError):
     """A configured work cap was exceeded; the computation was aborted,
     never answered wrongly."""
-
-
-class InconclusiveError(FjumpError):
-    """The chain did not visibly stabilize within the allowed range.
-
-    ``chain`` holds the partial list of (e, ideal) terms computed so far.
-    """
-
-    def __init__(self, message: str, chain=()):
-        super().__init__(message)
-        self.chain = tuple(chain)

@@ -2,7 +2,7 @@
 
 These are deliberately literal: the brute-force nu counts memberships one
 power at a time through the Groebner engine, the raw test-ideal chain is
-computed with no Skoda rewriting and no plateau shortcut, and monomial
+computed with no Skoda rewriting and no digit descent, and monomial
 roots come from the componentwise floor formula.  They ship in the library
 (not only the test tree) so the command line can replay a computation in
 ``--oracle`` mode.
@@ -200,7 +200,7 @@ def nu_bruteforce(a: Ideal, J: Ideal, e: int, *,
 def test_ideal_chain(a: Ideal, c, e_max: int, *,
                      gen_limit: int | None = None) -> list[tuple[int, Ideal]]:
     """The raw chain  (a^ceil(c p^e))^[1/p^e]  for e = 1..e_max, with no
-    Skoda rewriting and no plateau shortcut."""
+    Skoda rewriting and no digit descent: each a^r is expanded."""
     c = Fraction(c)
     if c < 0:
         raise PreconditionError("the exponent c must be nonnegative")

@@ -1,34 +1,34 @@
-"""Generalized test ideals via the stabilizing Frobenius-root chain.
+"""Generalized test ideals, each one proved.
 
 The test ideal of a with exponent c is the union of the ascending chain
-(a^ceil(c p^e))^[1/p^e]; the union is a single chain term once e is large
-enough.  Results carry a ``certified`` flag:
+L_e = (a^ceil(c p^e))^[1/p^e]; over F_p the union is a single chain term
+(BMS).  Every result names a level from which the chain provably equals it:
 
 * For ideals with monomial generators the union has a closed form, the
   interior lattice points of the scaled Newton polyhedron (Howald;
-  Hara-Yoshida), computed in ``newton``.  The result is certified by that
-  theorem, and the level from which the chain equals it is bounded from
-  the polyhedron without evaluating any chain term.
-* For general ideals each scanned level e, q = p^e, also gives an upper
-  bound.  A product of floor(c q) q' generators of an m-generated ideal is
-  a multiple of the q'-th power of a product of floor(c q) - m + 1 of them
-  (the pigeonhole step in ``thresholds``), so
-
-      (a^ceil(c q))^[1/q]  <=  tau(a^c)  <=  (a^(floor(c q) - m + 1))^[1/q],
-
-  with the powers multiplied factor by factor for mixed test ideals.  A
-  single ideal with several generators takes both roots by digit descent
-  (``frobroot.power_root``), without expanding the power.  The scan stops
-  at the first level where the upper bound lies inside the chain term,
-  which proves the result (certified = True).  At a jump the
-  two sides never meet; the fallback there is a plateau: the chain value
-  repeating ``plateau`` times in a row and surviving a few probes at
-  levels in phase with the denominator of c.  A plateau can be premature,
-  and it is reported with certified = False.
+  Hara-Yoshida), computed in ``newton``, and the level is bounded from the
+  polyhedron without evaluating any chain term.
 * For a hypersurface (f), f not a monomial, at c = r/p^a with a >= 1 the
-  chain is constant from level a on, so tau(f^c) = (f^r)^[1/p^a] (BMS).  It
-  is computed by digit descent (``frobroot.power_root``), never expanding
-  f^r, and certified without a scan.
+  chain is constant from level a on, so tau(f^c) = (f^r)^[1/p^a] (BMS),
+  taken by one digit descent (``frobroot.power_root``).
+* Every other test ideal, plain or mixed, comes from a repeat of the
+  digit-descent state: Katzman's ascending-ideal method (``ascendIdeal`` in
+  Macaulay2's TestIdeals) for any number of generators.  Write c = c'/p^a
+  with c' = K/(p^b - 1), where p^b = 1 modulo the p-free part of c's
+  denominator.  Then ceil(c p^(a+nb)) = K R_n + ceil(c'), with R_n = 1 +
+  p^b + ... + p^((n-1)b).  The descent (a^j B)^[1/p] = sum_t
+  a^((j-t)/p) (A_t B)^[1/p] reads that exponent's low digits first, so
+  after i blocks of b levels its state is {K R_(n-i) + d: B_d}.  While
+  K R_(n-i) is large the bound t <= j is idle, and the block map on
+  {d: B_d} does not depend on n.  Iterated from {ceil(c'): (1)} with every
+  B_d reduced, it meets finitely many states (their bases have bounded
+  degree), so some U_(k+1) equals an earlier U_j.  Let c0 be the least
+  count with K R_c0 lifting every key the blocks saw to at least m(p - 1).
+  For n >= j + c0 the chain term at level a + nb is then c0 blocks and a
+  levels of the real descent from a state of the cycle.  These terms
+  repeat periodically and ascend, so they are all equal, and equal to tau.
+  The result is that term at a + (j + c0) b.  A mixed test ideal runs the
+  same automaton on a vector of keys, one per factor.
 
 Exponents c >= the number of generators are first peeled down by Skoda's
 theorem, tau(a^c) = a * tau(a^(c-1)).
@@ -38,13 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor, lcm
+from itertools import product
+from math import ceil, lcm, prod
 
-from .errors import (FjumpError, InconclusiveError, PreconditionError,
-                     ResourceLimitError)
-from .frobroot import _check_e, _power_root, frobenius_root, power_root
-from .groebner import (Ideal, generated_in_degree, ideal_power, ideal_product,
-                       is_subset)
+from .errors import FjumpError, PreconditionError, ResourceLimitError
+from .frobroot import _vectors, frobenius_root, power_root
+from .groebner import Ideal, generated_in_degree, ideal_power, ideal_product
 from .multipoly import RingCtx
 from .newton import tau_vectors
 from .oracle import minimal_vectors, monomial_ideal
@@ -53,40 +52,32 @@ from .ratutil import multiplicative_order
 
 @dataclass(frozen=True)
 class TauParams:
-    """Chain-scan controls: the scan runs over levels 1..e_max; the plateau
-    length of the uncertified fallback; and whether Skoda reduction
-    rewrites large exponents first."""
+    """``e_max`` caps the blocks of b levels the descent runs before its
+    state must repeat; ``use_skoda`` says whether Skoda reduction rewrites
+    large exponents first."""
 
     e_max: int = 20
-    plateau: int = 2
     use_skoda: bool = True
 
     def __post_init__(self):
         if self.e_max < 1:
             raise FjumpError("need e_max >= 1")
-        if self.plateau < 1:
-            raise FjumpError("plateau length must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
 class TauResult:
     """A computed test ideal.
 
-    ``certified`` is True only when a theorem proves the result: the
+    ``certified`` is True: a theorem proves every result, the
     Newton-polyhedron closed form for monomial inputs, tau(f^(r/p^a)) =
-    (f^r)^[1/p^a] for a hypersurface at a p-power denominator, the
-    two-sided chain bound otherwise.  Then ``stabilized_at`` is a chain
-    level (chains start at level 1) from which the chain provably equals
-    the result: a level read off the polyhedron for the closed form; a for
-    the p-power formula; for general ideals the level where the bound
-    closed, or the first level of a plateau whose value a deeper probe
-    proved.  For an uncertified result it is the first level of the
-    accepted plateau.  ``chain_trace`` lists the inspected (e, ideal)
-    pairs in ascending order (one pair for the p-power formula), and is
-    empty when no chain term was evaluated.  Whenever it is not empty, the
-    result is the same object as the last trace entry and is generated by
-    its reduced grevlex basis, Skoda-scaled or not; without Skoda scaling
-    every entry is.
+    (f^r)^[1/p^a] for a hypersurface at a p-power denominator, a repeat of
+    the descent state otherwise.  ``stabilized_at`` is a chain level
+    (chains start at level 1) from which the chain provably equals the
+    result: a level read off the polyhedron for the closed form, a for the
+    p-power formula, a + (j + c0) b for the descent (module docstring).
+    ``chain_trace`` is empty for the closed form; otherwise it is the single
+    proved entry (stabilized_at, result), Skoda-scaled or not, and the
+    result is that entry's ideal, generated by its reduced grevlex basis.
     """
 
     ideal: Ideal
@@ -129,7 +120,7 @@ def degree_bound_check(a: Ideal, c, T: Ideal) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Chain scanning.
+# The chain's stable value.
 
 
 def _unit_result(ring: RingCtx) -> TauResult:
@@ -145,12 +136,15 @@ def _zero_result(ring: RingCtx, e: int = 1) -> TauResult:
 def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
                gen_limit: int | None = None,
                step_limit: int | None = None,
-               e_limit: int | None = None) -> TauResult:
+               e_limit: int | None = None,
+               table: dict | None = None) -> TauResult:
     """tau(a^c), the stable value of the chain (a^ceil(c p^e))^[1/p^e].
 
     c = 0 follows the convention tau(a^0) = R unless a = (0), which stays
-    (0).  Raises InconclusiveError (with the partial chain attached) when
-    the chain of a non-monomial ideal shows no plateau by e_max."""
+    (0).  Raises ResourceLimitError when the descent state of a non-monomial
+    ideal does not repeat within e_max blocks.  ``table`` may be one dict
+    shared by calls on the same a (``jumping_exponents`` does so): it keeps
+    the descent's products of generators."""
     params = params or TauParams()
     c = _as_exponent(c)
     ring = a.ring
@@ -167,19 +161,17 @@ def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
     if c_res == 0:
         inner = _unit_result(ring)
     else:
-        inner = _scan_chain([(a, c_res)], params, gen_limit=gen_limit,
-                            step_limit=step_limit, e_limit=e_limit)
+        inner = _stable_value([(a, c_res)], params, {} if table is None else table,
+                              gen_limit=gen_limit, step_limit=step_limit,
+                              e_limit=e_limit)
     if s == 0:
         return inner
-    scale = ideal_power(a, s, gen_limit=gen_limit)
+    value = ideal_product(ideal_power(a, s, gen_limit=gen_limit), inner.ideal)
+    e = inner.stabilized_at
     if not inner.chain_trace:  # the monomial closed form
-        return TauResult(ideal_product(scale, inner.ideal), inner.stabilized_at,
-                         inner.certified)
-    trace = [(e, ideal_product(scale, T)) for e, T in inner.chain_trace]
-    e, last = trace[-1]
-    trace[-1] = (e, last.reduced(step_limit=step_limit))
-    return TauResult(trace[-1][1], inner.stabilized_at, inner.certified,
-                     tuple(trace))
+        return TauResult(value, e, True)
+    value = value.reduced(step_limit=step_limit)
+    return TauResult(value, e, True, ((e, value),))
 
 
 def mixed_test_ideal(pairs, params: TauParams | None = None, *,
@@ -206,8 +198,8 @@ def mixed_test_ideal(pairs, params: TauParams | None = None, *,
     active = [(a, c) for a, c in pairs if c > 0]
     if not active:
         return _unit_result(ring)
-    return _scan_chain(active, params, gen_limit=gen_limit,
-                       step_limit=step_limit, e_limit=e_limit)
+    return _stable_value(active, params, {}, gen_limit=gen_limit,
+                         step_limit=step_limit, e_limit=e_limit)
 
 
 def _monomial_groups(pairs):
@@ -224,134 +216,104 @@ def _monomial_groups(pairs):
     return groups
 
 
-def _scan_chain(pairs, params: TauParams, *, gen_limit, step_limit, e_limit):
+def _stable_value(pairs, params: TauParams, table: dict, *, gen_limit,
+                  step_limit, e_limit):
     ring = pairs[0][0].ring
     groups = _monomial_groups(pairs)
     if groups is not None:
         vecs, stab = tau_vectors(groups, ring.p)
         return TauResult(monomial_ideal(ring, vecs), stab, True)
-    if len(pairs) == 1 and len(pairs[0][0].gens) == 1:
+    level, rest = _split_p(ring.p, lcm(*(c.denominator for _, c in pairs)))
+    if len(pairs) == 1 and len(pairs[0][0].gens) == 1 and level and rest == 1:
+        # tau(f^(r/p^a)) = (f^r)^[1/p^a] (BMS), the chain term at every
+        # level from a on.
         (a, c), = pairs
-        level, rest = _split_p(ring.p, c.denominator)
-        if level and rest == 1:
-            # tau(f^(r/p^a)) = (f^r)^[1/p^a] (BMS), the chain term at every
-            # level from a on.
-            value = power_root(a, c.numerator, level,
-                               e_limit=e_limit).reduced(step_limit=step_limit)
-            return TauResult(value, level, True, ((level, value),))
-    return _scan_chain_general(pairs, params, gen_limit=gen_limit,
-                               step_limit=step_limit, e_limit=e_limit)
+        value = power_root(a, c.numerator, level,
+                           e_limit=e_limit).reduced(step_limit=step_limit)
+        return TauResult(value, level, True, ((level, value),))
+    return _descent_tau(pairs, level, multiplicative_order(ring.p, rest), params,
+                        table, gen_limit=gen_limit, step_limit=step_limit)
 
 
-def _scan_chain_general(pairs, params: TauParams, *, gen_limit, step_limit, e_limit):
+def _descent_tau(pairs, a: int, b: int, params: TauParams, table: dict, *,
+                 gen_limit, step_limit) -> TauResult:
+    """tau from a repeat of the descent state (module docstring), with
+    c_i = K_i/((p^b - 1) p^a).  States map key vectors to reduced bases."""
     ring = pairs[0][0].ring
     p = ring.p
+    K = [int(c * p**a * (p**b - 1)) for _, c in pairs]
+    tops = [len(f.gens) * (p - 1) for f, _ in pairs]
+    # The level maps live for this call only.  Shared across a jump search
+    # as well, they make a principal-cli pass about a fifth shorter, and the
+    # benchmark, which keeps every job's text until the run ends, reads the
+    # extra passes as a peak RSS past its bound (ROADMAP item 1a).
+    maps: dict = {}
 
-    # Chain terms and upper bounds of this call, keyed by (exponent vector,
-    # level); an upper bound whose vector equals the lower one is a hit.
-    # One factor with several generators takes its roots by digit descent,
-    # sharing one table of products; the rest expand the power product.
-    cache: dict = {}
-    table: dict = {}
-
-    def root_of(rs: tuple, e: int) -> Ideal:
-        got = cache.get((rs, e))
+    def root(B: tuple, t: tuple) -> tuple:
+        # (A_t B)^[1/p], A_t the products of t_i generators of each factor i
+        # with every exponent below p; the table keys A_t by t.
+        got = maps.get((B, t))
         if got is None:
-            if len(pairs) == 1 and len(pairs[0][0].gens) > 1:
-                _check_e(e, e_limit)
-                got = _power_root(pairs[0][0], rs[0], e, table,
-                                  gen_limit=gen_limit)
-            else:
-                prod = None
-                for (a, _), r in zip(pairs, rs):
-                    piece = ideal_power(a, r, gen_limit=gen_limit)
-                    prod = piece if prod is None else ideal_product(prod, piece)
-                got = frobenius_root(prod, e, e_limit=e_limit)
-            cache[rs, e] = got
+            A = table.get(t)
+            if A is None:
+                A = [one]
+                for (f, _), s in zip(pairs, t):
+                    A = [g * prod(map(pow, f.gens, v), start=one)
+                         for g in A for v in _vectors(s, len(f.gens), p)]
+                table[t] = A
+            B_A = Ideal(ring, [g * h for g in B for h in A])
+            got = maps[B, t] = reduced(frobenius_root(B_A, 1).gens)
         return got
 
-    def term(e: int) -> Ideal:
-        return root_of(tuple(ceil(c * p**e) for _, c in pairs), e)
+    def reduced(gens) -> tuple:
+        # The reduced basis; the unit ideal and one monic generator (every
+        # root generator is monic) need no Buchberger run.
+        if one in gens:
+            return (one,)
+        if len(gens) == 1:
+            return tuple(gens)
+        return Ideal(ring, gens).reduced(step_limit=step_limit).gens
 
-    def closes(e: int, value: Ideal) -> bool:
-        # Pigeonhole bound: tau is inside the root of prod a_i^(floor(c_i q)
-        # - m_i + 1), so that root inside the chain term proves equality.
-        upper = root_of(tuple(max(floor(c * p**e) - len(a.gens) + 1, 0)
-                              for a, c in pairs), e)
-        return upper is value or is_subset(upper, value, step_limit=step_limit)
+    def level(state: dict, bounded: bool) -> dict:
+        nxt: dict = {}
+        for j, B in state.items():
+            for t in product(*(range(x % p, (min(x, top) if bounded else top) + 1, p)
+                               for x, top in zip(j, tops))):
+                nxt.setdefault(tuple((x - s) // p for x, s in zip(j, t)),
+                               []).append(root(B, t))
+        return {j: G[0] if len(G) == 1 else reduced([g for gens in G for g in gens])
+                for j, G in nxt.items()}
 
-    def result(trace: list, stabilized_at: int, certified: bool) -> TauResult:
-        # Every traced term's basis was computed by the scan; keeping the
-        # basis in place of the root's generators halves what a result holds.
-        trace = [(e, v.reduced(step_limit=step_limit)) for e, v in trace]
-        return TauResult(trace[-1][1], stabilized_at, certified, tuple(trace))
-
-    a0, b = _phase_of(p, lcm(*(c.denominator for _, c in pairs)))
-
-    trace: list = []
-    run = 0
-    e = 1
-    while e <= params.e_max:
-        value = term(e)
-        trace.append((e, value))
-        if closes(e, value):
-            return result(trace, e, True)
-        run = run + 1 if len(trace) > 1 and value == trace[-2][1] else 1
-        if run >= params.plateau:
-            # Probe past the level where the ceilings of c*p^e settle into
-            # their periodic pattern; a probe with the plateau's value where
-            # the bound closes proves the plateau, and a plateau that fails a
-            # reachable probe is premature, so resume from the first level
-            # that moved (unless the bound closes there).  The
-            # probes are best-effort: anything beyond a small work bound is
-            # skipped rather than ground out.
-            moved = None
-            if b is not None:
-                anchor = max(e - run + 1, a0 + b)
-                for probe in (anchor, anchor + b, anchor + 2 * b):
-                    if probe > max(params.e_max, e) + 8 or \
-                            not _probe_affordable(pairs, p, probe):
-                        break
-                    try:
-                        if term(probe) != value:
-                            moved = probe
-                            break
-                        if probe > e and closes(probe, value):
-                            return result(trace, e - run + 1, True)
-                    except ResourceLimitError:
-                        break
-            if moved is None:
-                return result(trace, e - run + 1, False)
-            trace.append((moved, term(moved)))
-            if closes(moved, term(moved)):
-                return result(trace, moved, True)
-            e = moved
-            run = 1
-        e += 1
-    raise InconclusiveError(
-        f"chain did not stabilize by e_max={params.e_max}; "
-        "raise e_max or inspect the partial chain", tuple(trace))
-
-
-_PROBE_R_CAP = 200
-_PROBE_GEN_CAP = 800
-
-
-def _probe_affordable(pairs, p: int, e: int) -> bool:
-    # Probes are best-effort correctness passes; anything past a small,
-    # predictable amount of expansion work is skipped.  Power growth for
-    # non-monomial generators is hard to estimate tightly, so the bound is
-    # on the exponent and the generator count of the power product.
-    gens = 1
-    for a, c in pairs:
-        r = ceil(c * p**e)
-        if r > _PROBE_R_CAP:
-            return False
-        m = len(a.gens)
-        gens *= comb(r + m - 1, m - 1)
-        if gens > _PROBE_GEN_CAP:
-            return False
-    return True
+    one = ring.one()
+    state = {tuple(ceil(c * p**a) for _, c in pairs): (one,)}
+    seen: dict = {}
+    keys: list = []
+    while (frozen := tuple(sorted(state.items()))) not in seen:
+        if len(seen) == params.e_max:
+            raise ResourceLimitError(
+                f"tau did not stabilize: the descent state did not repeat within "
+                f"e_max={params.e_max} blocks of {b} levels")
+        seen[frozen] = len(seen)
+        state = {tuple(x + k for x, k in zip(j, K)): B for j, B in state.items()}
+        for _ in range(b):
+            keys += state
+            state = level(state, False)
+    low = [min(col) for col in zip(*keys)]
+    c0 = R = 0  # R = R_c0 = 1 + p^b + ... + p^((c0 - 1) b)
+    while any(k * R + x < top for k, x, top in zip(K, low, tops)):
+        c0, R = c0 + 1, R * p**b + 1
+    state = {tuple(x + k * R for x, k in zip(j, K)): B for j, B in frozen}
+    for _ in range(c0 * b + a):
+        state = level(state, True)
+    gens = []
+    for j, B in state.items():
+        piece = Ideal(ring, B)
+        for (f, _), x in zip(pairs, j):
+            piece = ideal_product(ideal_power(f, x, gen_limit=gen_limit), piece)
+        gens += piece.gens
+    value = Ideal(ring, gens).reduced(step_limit=step_limit)
+    e = max(a + (seen[frozen] + c0) * b, 1)
+    return TauResult(value, e, True, ((e, value),))
 
 
 def _split_p(p: int, den: int) -> tuple[int, int]:
@@ -361,13 +323,3 @@ def _split_p(p: int, den: int) -> tuple[int, int]:
         den //= p
         a0 += 1
     return a0, den
-
-
-def _phase_of(p: int, den: int):
-    """Split den = p^a0 * t and return (a0, ord of p mod t); the order is
-    None when it is out of reach (then phase-matched probing is impossible)."""
-    a0, rest = _split_p(p, den)
-    try:
-        return a0, multiplicative_order(p, rest, limit=100_000)
-    except ResourceLimitError:
-        return a0, None

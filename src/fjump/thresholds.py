@@ -324,6 +324,7 @@ def jumping_exponents(a: Ideal, bound, params: TauParams | None = None,
     D = cap if cap is not None else db.max_denominator
 
     memo: dict[Fraction, TauResult] = {}
+    table: dict = {}  # the descent's products of generators, shared by every c
 
     def tau_at(c: Fraction) -> TauResult:
         # The family is constant between jumps and every jump is admissible,
@@ -334,7 +335,7 @@ def jumping_exponents(a: Ideal, bound, params: TauParams | None = None,
         got = memo.get(c)
         if got is None:
             got = test_ideal(a, c, params, gen_limit=gen_limit,
-                             step_limit=step_limit, e_limit=e_limit)
+                             step_limit=step_limit, e_limit=e_limit, table=table)
             memo[c] = got
         return got
 

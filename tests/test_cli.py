@@ -110,8 +110,30 @@ def test_tau_oracle_mode(job_path):
     assert report["result"]["oracle_agreement"] is True
 
 
+def test_tau_oracle_replays_the_chain_at_stabilized_at(cusp_path):
+    # tau of the cusp at its F-pure threshold 5/6 over F_7 is proved at
+    # level 2; the oracle expands f^41 and takes its level-2 root.
+    report = invoke_json(["tau", "-i", cusp_path, "--ideal", "f", "--c", "5/6",
+                          "--oracle"])
+    assert report["result"]["generators"] == ["y", "x"]
+    assert report["result"]["oracle_agreement"] is True
+    assert report["meta"]["stabilized_at"] == 2
+    assert report["meta"]["certified"] is True
+
+
+def test_tau_oracle_past_the_level_cap_is_a_resource_limit():
+    # tau(f^(1/101)) over F_2 is proved at level 200, since ord_101(2) =
+    # 100; expanding the chain term there would not finish, so the replay
+    # stops at the level cap (--e-cap, default 64).
+    code, out, err = invoke(["tau", "-i", "-", "--ideal", "f", "--c", "1/101",
+                             "--oracle"],
+                            "ring p=2 vars=x,y\nideal f = x^2 + y^3\n")
+    assert code == 4, err
+    assert out == "" and "exceeds the cap 64" in err
+
+
 def test_tau_oracle_on_monomial_ideal_replays_by_the_floor_formula():
-    # The chain level stabilized_at + plateau = 8 needs I^6365, far past the
+    # The chain level stabilized_at = 6 needs I^708, far past the
     # generator cap; the floor formula reaches it without expanding.
     code, out, err = invoke(["tau", "-i", "-", "--ideal", "a", "--c", "97/100",
                              "--oracle", "--format", "json"],
@@ -205,7 +227,7 @@ def test_usage_errors(job_path):
 
 @pytest.mark.parametrize("argv", [
     ["tau", "--ideal", "m", "--c", "1", "--e-max", "0"],
-    ["jumps", "--ideal", "m", "--B", "1", "--plateau", "0"],
+    ["jumps", "--ideal", "m", "--B", "1", "--e-max", "0"],
     ["fpt", "--ideal", "f", "--e-max", "0"],
     ["nu", "--ideal", "m", "--J", "m", "--e", "0"],
     ["root", "--ideal", "f", "--e", "1", "--oracle"],
@@ -231,8 +253,8 @@ def test_missing_file_is_input_error():
 
 
 def test_resource_limit_exit(cusp_path):
-    # 5/6 is the cusp's F-pure threshold at p=7, a jump, where the chain and
-    # its upper bound never meet; one level shows no plateau either.
+    # 5/6 is the cusp's F-pure threshold at p=7; its descent state first
+    # repeats after two blocks of one level, past a cap of one block.
     code, _, err = invoke(["tau", "-i", cusp_path, "--ideal", "f", "--c", "5/6",
                            "--e-max", "1"])
     assert code == 4

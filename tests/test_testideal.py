@@ -4,7 +4,7 @@ from math import ceil, comb, floor
 
 import pytest
 
-from fjump import (Ideal, InconclusiveError, PreconditionError, TauParams,
+from fjump import (Ideal, PreconditionError, ResourceLimitError, TauParams,
                    degree_bound_check, frobenius_root, ideal_intersect,
                    ideal_power, ideal_product, ideal_sum,
                    integral_closure_monomial, is_subset, skoda_reduce)
@@ -115,8 +115,8 @@ def test_mixed_subadditivity():
 
 
 def _random_tau_instance(rnd, allow_general=True):
-    # The plateau heuristic is verified on a bounded schedule, so general
-    # (non-monomial) draws stay small enough for the probes to bite.
+    # General (non-monomial) draws stay small, so that the relations below
+    # stay cheap to check.
     R = R2 if rnd.random() < 0.5 else R3
     if allow_general and rnd.random() < 0.3:
         a = random_ideal(rnd, R, max_gens=2, max_degree=3)
@@ -311,15 +311,41 @@ def test_general_results_are_flagged_heuristic():
     assert raw_chain(a, Fraction(1, 2), result.stabilized_at)[-1][1] == result.ideal
 
 
-def test_premature_plateaus_stay_uncertified():
-    # The chain repeats before the bound closes and the phase probes are
-    # beyond their work cap, so these plateaus are accepted unproven (and
-    # are wrong: the first is (x, y), the other two are R).
+def test_exact_values_where_a_plateau_came_early():
+    # Each chain repeats for a while below its limit.  The descent's repeat
+    # proves the value, and the raw chain term at the last level listed
+    # already equals it.
     R7 = ring(7, "x", "y")
-    for a, c in ((R7.ideal("x^4+y^4"), Fraction(7, 10)),
-                 (R7.ideal("x^2+y^3"), Fraction(33, 40)),
-                 (R2.ideal("x^2+x*y"), Fraction(99, 100))):
-        assert not tau(a, c).certified, (a, c)
+    for a, c, want, deep in (
+            (R7.ideal("x^4+y^4"), Fraction(7, 10), R7.ideal("x", "y"), 3),
+            (R7.ideal("x^2+y^3"), Fraction(33, 40), R7.ideal("1"), 3),
+            (R2.ideal("x^2+x*y"), Fraction(99, 100), R2.ideal("1"), 9),
+            (R2.ideal("x^2*y+x^3*y^3+x^2", "x*y", "x^2*y^3+x^2*y^2"),
+             Fraction(16, 11), R2.ideal("x"), 5),
+            (R2.ideal("x*y^3", "x^2*y+x^3", "x+y"), Fraction(5, 3),
+             R2.ideal("x+y", "y^2"), 5)):
+        got = tau(a, c)
+        assert got.certified
+        assert got.ideal == want, (a, c)
+        assert got.chain_trace == ((got.stabilized_at, got.ideal),)
+        assert raw_chain(a, c, deep)[-1][1] == want, (a, c)
+
+
+def test_mixed_pair_of_non_monomial_factors():
+    # The raw mixed chain (f^ceil(q/2) b^ceil(2q/3))^[1/q], expanded
+    # literally, equals the result at the level it reports and deeper.
+    R3x = ring(3, "x", "y")
+    f, b = R3x.ideal("x^2+y^3"), R3x.ideal("x+y^2", "x*y")
+    pairs = [(f, Fraction(1, 2)), (b, Fraction(2, 3))]
+    got = tau_mixed(pairs)
+    assert got.certified
+    assert got.chain_trace == ((got.stabilized_at, got.ideal),)
+    for e in (got.stabilized_at, got.stabilized_at + 1):
+        q = 3**e
+        term = frobenius_root(ideal_product(ideal_power(f, ceil(Fraction(q, 2))),
+                                            ideal_power(b, ceil(Fraction(2 * q, 3)))),
+                              e)
+        assert term == got.ideal, e
 
 
 def test_chain_scanned_results_are_reduced_bases():
@@ -417,10 +443,7 @@ def test_upper_bound_contains_the_chain():
             upper = frobenius_root(ideal_power(a, max(floor(c * q) - 1, 0)), e)
             for e2 in levels[levels.index(e):]:
                 assert is_subset(chain[e2], upper), (a, c, e, e2)
-        try:
-            got = tau(a, c)
-        except InconclusiveError:
-            continue
+        got = tau(a, c)
         if got.certified:
             certified += 1
             assert raw_chain(a, c, got.stabilized_at)[-1][1] == got.ideal
@@ -429,8 +452,11 @@ def test_upper_bound_contains_the_chain():
     assert certified >= 10
 
 
-def test_inconclusive_chain_carries_partial_data():
-    with pytest.raises(InconclusiveError) as exc:
-        tau(R3.ideal("x^2+y^2", "x*y"), Fraction(5, 7),
-            TauParams(e_max=1, plateau=2))
-    assert exc.value.chain
+def test_block_cap_raises_resource_limit():
+    # The descent state of this chain first repeats after two blocks of
+    # six levels, so a cap of one block raises.
+    a = R3.ideal("x^2+y^2", "x*y")
+    with pytest.raises(ResourceLimitError, match="stabilize"):
+        tau(a, Fraction(5, 7), TauParams(e_max=1))
+    got = tau(a, Fraction(5, 7), TauParams(e_max=2))
+    assert got.ideal == R3.ideal("1") and got.certified

@@ -324,6 +324,20 @@ def test_monomial_jumps_regression_over_f3():
     assert jl.certified
 
 
+def test_principal_jump_lists():
+    # The cusp's first jump is its F-pure threshold, 1/2, 2/3, 4/5 and 5/6
+    # at p = 2, 3, 5, 7; the node's is 1; x^4 + y^4 has 1/2 and 3/4 at p = 5.
+    cusp = {2: Fraction(1, 2), 3: Fraction(2, 3), 5: Fraction(4, 5),
+            7: Fraction(5, 6)}
+    cases = [(p, "x^2+y^3", [0, fpt, 1]) for p, fpt in cusp.items()]
+    cases += [(p, "x^2+x*y", [0, 1]) for p in (2, 3)]
+    cases.append((5, "x^4+y^4", [0, Fraction(1, 2), Fraction(3, 4), 1]))
+    for p, f, want in cases:
+        jl = jumping_exponents(ring(p, "x", "y").ideal(f), 1)
+        assert list(jl.jumps) == want, (p, f)
+        assert jl.certified, (p, f)
+
+
 def test_denominator_bound_counts_minimal_generators():
     R5 = ring(5, "x", "y")
     listed = R5.ideal("x*y^3", "x^2*y^3", "x^4*y^4")
