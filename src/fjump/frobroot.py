@@ -14,11 +14,13 @@ depend on the chosen generators.
 
 The root of a power a^r of an ideal with any number of generators is taken
 by digit descent (``power_root``) from BMS's (b^[p] c)^[1/p] = b c^[1/p],
-a few level-1 roots per level, without expanding a^r.
+a few level-1 roots per level, without expanding a^r.  One level of that
+descent (``_Digits``) also drives the test ideals of ``testideal``.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 from .errors import FjumpError, ResourceLimitError
@@ -77,27 +79,21 @@ def frobenius_root(b: Ideal, e: int, *, e_limit: int | None = None) -> Ideal:
 def power_root(a: Ideal | Poly, r: int, e: int, *, gen_limit: int | None = None,
                e_limit: int | None = None) -> Ideal:
     """(a^r)^[1/p^e] for an ideal a = (f_1, ..., f_m), or a polynomial f
-    standing for (f), by digit descent, without expanding a^r.
-
-    Let A_t = (f^g : 0 <= g_i < p, |g| = t).  Every product of j generators
-    splits as f^g * (f^d)^p, so a^j = sum over t = j mod p, t <= j, of
-    A_t * (a^((j - t)/p))^[p], and (b^[p] * c)^[1/p] = b * c^[1/p] gives
-
-        (a^j * B)^[1/p] = sum_t a^((j - t)/p) * (A_t * B)^[1/p].
+    standing for (f), by digit descent (``_Digits``), without expanding a^r.
 
     Starting from {r: (1)}, each of the e levels maps a state {j: B_j} to
     the next, about m + 1 keys wide; the root is the sum of the a^j * B_j
     left at the end, j near r/p^e.  For m = 1 the state has one key and
-    A_t = (f^t): the level-e root is e level-1 roots, the k-th taken after
-    multiplying by f^(d_k) for the base-p digits d_k of r.  With m >= 2, a
-    power a^r of at most 24 generators (``_LITERAL_GENS``) is expanded
-    instead.  ``gen_limit`` bounds the final a^j and those literal powers."""
+    A_t = (f^t): each level multiplies by f^(d_k), d_k the next base-p digit
+    of r.  With m >= 2, a power a^r of at most 24 generators
+    (``_LITERAL_GENS``) is expanded instead.  ``gen_limit`` bounds the
+    final a^j and those literal powers."""
     _check_e(e, e_limit)
     if r < 0:
         raise FjumpError("powers need a nonnegative exponent")
     if isinstance(a, Poly):
         a = Ideal(a.ring, [a])
-    return _power_root(a, r, e, {}, gen_limit=gen_limit)
+    return _power_root(a, r, e, _Digits([a]), gen_limit=gen_limit)
 
 
 # A power a^r of m >= 2 generators with at most this many generators is
@@ -108,44 +104,21 @@ def power_root(a: Ideal | Poly, r: int, e: int, *, gen_limit: int | None = None,
 _LITERAL_GENS = 24
 
 
-def _power_root(a: Ideal, r: int, e: int, table: dict, *,
+def _power_root(a: Ideal, r: int, e: int, digits: _Digits, *,
                 gen_limit: int | None = None) -> Ideal:
-    """``power_root`` without its checks (the caller checks e).  The table
-    holds each product f^g it expands, keyed by g, and each A_t, keyed by
-    t; it may be shared by calls on the same a."""
-    ring, gens, p = a.ring, a.gens, a.ring.p
-    m = len(gens)
+    """``power_root`` without its checks (the caller checks e), taking its
+    products of generators from ``digits``, a table for the factor list [a]."""
+    ring, m = a.ring, len(a.gens)
     if not m or m > 1 and comb(r + m - 1, m - 1) <= _LITERAL_GENS:
         return frobenius_root(ideal_power(a, r, gen_limit=gen_limit), e, e_limit=e)
-
-    def power(g: tuple) -> Poly:
-        # f^g from f^g' * f_i^(g_i), g' = g with its last nonzero entry g_i cleared.
-        got = table.get(g)
-        if got is None:
-            i = max(k for k, x in enumerate(g) if x)
-            got = gens[i] ** g[i]
-            if any(g[:i]):
-                got = power(g[:i] + (0,) * (m - i)) * got
-            table[g] = got
-        return got
-
-    def box(t: int) -> list:
-        got = table.get(t)
-        if got is None:
-            got = table[t] = [power(g) for g in _vectors(t, m, p)]
-        return got
-
-    state = {r: [ring.one()]}
+    state = {(r,): [ring.one()]}
     for _ in range(e):
-        nxt: dict = {}
-        for j, B in state.items():
-            for t in range(j % p, min(j, m * (p - 1)) + 1, p):
-                nxt.setdefault((j - t) // p, []).extend(
-                    B if t == 0 else [g * h for g in B for h in box(t)])
-        state = {s: frobenius_root(Ideal(ring, G), 1).gens for s, G in nxt.items()}
+        state = {s: frobenius_root(Ideal(ring, [g for B, t in G
+                                                for g in digits.times(B, t)]), 1).gens
+                 for s, G in digits.level(state).items()}
     limit = DEFAULT_GEN_LIMIT if gen_limit is None else gen_limit
     out = []
-    for j, B in state.items():
+    for (j,), B in state.items():
         if j == 0:
             out += B
             continue
@@ -153,8 +126,69 @@ def _power_root(a: Ideal, r: int, e: int, table: dict, *,
         if count > limit:
             raise ResourceLimitError(
                 f"I^{j} would need {count} generators (cap {limit})")
-        out += [g * power(v) for v in _vectors(j, m, j + 1) for g in B]
+        out += [g * digits.power(0, v) for v in _vectors(j, m, j + 1) for g in B]
     return Ideal(ring, out)
+
+
+class _Digits:
+    """One level of the digit descent of a product of powers prod_i a_i^(j_i),
+    and the products of generators it multiplies by, each expanded once.
+
+    Let A_t hold the products f^g of t_i generators of each a_i, every
+    exponent below p.  A product of j_i generators splits as f^g * (f^d)^p,
+    and (b^[p] c)^[1/p] = b c^[1/p], so a level maps a state {j: B_j} by
+
+        (prod_i a_i^(j_i) * B)^[1/p] = sum_t prod_i a_i^((j_i - t_i)/p) * (A_t * B)^[1/p]
+
+    over t_i = j_i mod p, t_i <= m_i (p - 1), m_i the generator count of
+    a_i, and t_i <= j_i unless the level is unbounded.  The table keys A_t
+    by t and each factor's f^g by (i, g); one table serves every descent
+    on the same factors (a nu walk, a jump search)."""
+
+    def __init__(self, factors):
+        self.gens = [a.gens for a in factors]
+        self.one = factors[0].ring.one()
+        self.p = p = factors[0].ring.p
+        self.tops = [len(g) * (p - 1) for g in self.gens]
+        self.table: dict = {}
+
+    def power(self, i: int, g: tuple) -> Poly:
+        """f^g for the generators f of factor i."""
+        got = self.table.get((i, g))
+        if got is None:
+            # f^g' * f_k^(g_k), g' = g with its last nonzero entry g_k cleared.
+            k = max(k for k, x in enumerate(g) if x)
+            got = self.gens[i][k] ** g[k]
+            if any(g[:k]):
+                got = self.power(i, g[:k] + (0,) * (len(g) - k)) * got
+            self.table[i, g] = got
+        return got
+
+    def times(self, B, t: tuple):
+        """The generators of A_t * B."""
+        if not any(t):
+            return B
+        A = self.table.get(t)
+        if A is None:
+            A = [self.one]
+            for i, s in enumerate(t):
+                if s:
+                    A = [h * self.power(i, g) for h in A
+                         for g in _vectors(s, len(self.gens[i]), self.p)]
+            self.table[t] = A
+        return [g * h for g in B for h in A]
+
+    def level(self, state: dict, bounded: bool = True) -> dict:
+        """The next keys, each with the pairs (B_j, t) whose roots (A_t *
+        B_j)^[1/p] sum to its ideal."""
+        p = self.p
+        nxt: dict = {}
+        for j, B in state.items():
+            for t in product(*[range(x % p, (min(x, top) if bounded else top) + 1, p)
+                               for x, top in zip(j, self.tops)]):
+                nxt.setdefault(tuple([(x - s) // p for x, s in zip(j, t)]),
+                               []).append((B, t))
+        return nxt
 
 
 def _vectors(t: int, m: int, cap: int) -> list:

@@ -13,7 +13,8 @@ L_e = (a^ceil(c p^e))^[1/p^e]; over F_p the union is a single chain term
   taken by one digit descent (``frobroot.power_root``).
 * Every other test ideal, plain or mixed, comes from a repeat of the
   digit-descent state: Katzman's ascending-ideal method (``ascendIdeal`` in
-  Macaulay2's TestIdeals) for any number of generators.  Write c = c'/p^a
+  Macaulay2's TestIdeals) for any number of generators, one level of the
+  descent being ``frobroot._Digits.level``.  Write c = c'/p^a
   with c' = K/(p^b - 1), where p^b = 1 modulo the p-free part of c's
   denominator.  Then ceil(c p^(a+nb)) = K R_n + ceil(c'), with R_n = 1 +
   p^b + ... + p^((n-1)b).  The descent (a^j B)^[1/p] = sum_t
@@ -28,7 +29,11 @@ L_e = (a^ceil(c p^e))^[1/p^e]; over F_p the union is a single chain term
   levels of the real descent from a state of the cycle.  These terms
   repeat periodically and ascend, so they are all equal, and equal to tau.
   The result is that term at a + (j + c0) b.  A mixed test ideal runs the
-  same automaton on a vector of keys, one per factor.
+  same automaton on a vector of keys, one per factor.  The level cap
+  e_limit bounds the descent: it stops before its last levels when
+  a + (j + c0) b passes the cap, and before its first block when a + b
+  does, unless a chain term at a level 1, 2, 4, ... within the cap is R,
+  which proves tau = R since the chain ascends.
 
 Exponents c >= the number of generators are first peeled down by Skoda's
 theorem, tau(a^c) = a * tau(a^(c-1)).
@@ -38,13 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import ceil, lcm, prod
+from math import ceil, lcm
 
 from .errors import FjumpError, PreconditionError, ResourceLimitError
-from .frobroot import _vectors, frobenius_root, power_root
+from .frobroot import E_LIMIT, _check_e, _Digits, _power_root, frobenius_root
 from .groebner import Ideal, generated_in_degree, ideal_power, ideal_product
-from .multipoly import RingCtx
 from .newton import tau_vectors
 from .oracle import minimal_vectors, monomial_ideal
 from .ratutil import multiplicative_order
@@ -74,7 +77,8 @@ class TauResult:
     the descent state otherwise.  ``stabilized_at`` is a chain level
     (chains start at level 1) from which the chain provably equals the
     result: a level read off the polyhedron for the closed form, a for the
-    p-power formula, a + (j + c0) b for the descent (module docstring).
+    p-power formula, a + (j + c0) b for the descent, or the level of a
+    unit chain term (module docstring).
     ``chain_trace`` is empty for the closed form; otherwise it is the single
     proved entry (stabilized_at, result), Skoda-scaled or not, and the
     result is that entry's ideal, generated by its reduced grevlex basis.
@@ -114,8 +118,7 @@ def degree_bound_check(a: Ideal, c, T: Ideal) -> bool:
     generator degree of a.  Decided exactly on the degree-bounded slice of
     T, not on whatever generator list T happens to carry."""
     c = _as_exponent(c)
-    degs = [g.total_degree() for g in a.gens]
-    d = max(degs) if degs else 0
+    d = max((g.total_degree() for g in a.gens), default=0)
     return generated_in_degree(T, int(c * d))
 
 
@@ -123,35 +126,33 @@ def degree_bound_check(a: Ideal, c, T: Ideal) -> bool:
 # The chain's stable value.
 
 
-def _unit_result(ring: RingCtx) -> TauResult:
-    one = Ideal(ring, [ring.one()])
-    return TauResult(one, 0, True, ((0, one),))
-
-
-def _zero_result(ring: RingCtx, e: int = 1) -> TauResult:
-    zero = Ideal(ring, [])
-    return TauResult(zero, e, True, ((e, zero),))
+def _proved(value: Ideal, e: int) -> TauResult:
+    return TauResult(value, e, True, ((e, value),))
 
 
 def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
                gen_limit: int | None = None,
                step_limit: int | None = None,
                e_limit: int | None = None,
-               table: dict | None = None) -> TauResult:
+               _digits: _Digits | None = None) -> TauResult:
     """tau(a^c), the stable value of the chain (a^ceil(c p^e))^[1/p^e].
 
     c = 0 follows the convention tau(a^0) = R unless a = (0), which stays
     (0).  Raises ResourceLimitError when the descent state of a non-monomial
-    ideal does not repeat within e_max blocks.  ``table`` may be one dict
-    shared by calls on the same a (``jumping_exponents`` does so): it keeps
-    the descent's products of generators."""
+    ideal does not repeat within e_max blocks, or when its levels pass
+    e_limit (module docstring).  ``_digits``, private, is the descent's
+    table of products of a's generators, which a jump search shares."""
+    if _digits is None:
+        _digits = _Digits([a])
+    elif _digits.gens != [a.gens]:
+        raise PreconditionError("the digit table belongs to another ideal")
     params = params or TauParams()
     c = _as_exponent(c)
     ring = a.ring
     if a.is_zero():
-        return _zero_result(ring, 0 if c == 0 else 1)
+        return _proved(Ideal(ring, []), 0 if c == 0 else 1)
     if c == 0:
-        return _unit_result(ring)
+        return _proved(Ideal(ring, [ring.one()]), 0)
 
     m = len(a.gens)
     s = 0
@@ -159,11 +160,10 @@ def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
     if params.use_skoda and c >= m:
         s, c_res = skoda_reduce(a, c)
     if c_res == 0:
-        inner = _unit_result(ring)
+        inner = _proved(Ideal(ring, [ring.one()]), 0)
     else:
-        inner = _stable_value([(a, c_res)], params, {} if table is None else table,
-                              gen_limit=gen_limit, step_limit=step_limit,
-                              e_limit=e_limit)
+        inner = _stable_value([(a, c_res)], params, _digits, gen_limit=gen_limit,
+                              step_limit=step_limit, e_limit=e_limit)
     if s == 0:
         return inner
     value = ideal_product(ideal_power(a, s, gen_limit=gen_limit), inner.ideal)
@@ -171,7 +171,7 @@ def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
     if not inner.chain_trace:  # the monomial closed form
         return TauResult(value, e, True)
     value = value.reduced(step_limit=step_limit)
-    return TauResult(value, e, True, ((e, value),))
+    return _proved(value, e)
 
 
 def mixed_test_ideal(pairs, params: TauParams | None = None, *,
@@ -194,12 +194,13 @@ def mixed_test_ideal(pairs, params: TauParams | None = None, *,
     if any(a.is_zero() for a, _ in pairs):
         # A zero factor kills every chain term (and the c = 0 convention for
         # the zero ideal is the zero ideal as well).
-        return _zero_result(ring)
+        return _proved(Ideal(ring, []), 1)
     active = [(a, c) for a, c in pairs if c > 0]
     if not active:
-        return _unit_result(ring)
-    return _stable_value(active, params, {}, gen_limit=gen_limit,
-                         step_limit=step_limit, e_limit=e_limit)
+        return _proved(Ideal(ring, [ring.one()]), 0)
+    return _stable_value(active, params, _Digits([a for a, _ in active]),
+                         gen_limit=gen_limit, step_limit=step_limit,
+                         e_limit=e_limit)
 
 
 def _monomial_groups(pairs):
@@ -216,7 +217,7 @@ def _monomial_groups(pairs):
     return groups
 
 
-def _stable_value(pairs, params: TauParams, table: dict, *, gen_limit,
+def _stable_value(pairs, params: TauParams, digits: _Digits, *, gen_limit,
                   step_limit, e_limit):
     ring = pairs[0][0].ring
     groups = _monomial_groups(pairs)
@@ -228,42 +229,27 @@ def _stable_value(pairs, params: TauParams, table: dict, *, gen_limit,
         # tau(f^(r/p^a)) = (f^r)^[1/p^a] (BMS), the chain term at every
         # level from a on.
         (a, c), = pairs
-        value = power_root(a, c.numerator, level,
-                           e_limit=e_limit).reduced(step_limit=step_limit)
-        return TauResult(value, level, True, ((level, value),))
+        _check_e(level, e_limit)
+        value = _power_root(a, c.numerator, level, digits,
+                            gen_limit=gen_limit).reduced(step_limit=step_limit)
+        return _proved(value, level)
     return _descent_tau(pairs, level, multiplicative_order(ring.p, rest), params,
-                        table, gen_limit=gen_limit, step_limit=step_limit)
+                        digits, gen_limit=gen_limit, step_limit=step_limit,
+                        e_limit=e_limit)
 
 
-def _descent_tau(pairs, a: int, b: int, params: TauParams, table: dict, *,
-                 gen_limit, step_limit) -> TauResult:
+def _descent_tau(pairs, a: int, b: int, params: TauParams, digits: _Digits, *,
+                 gen_limit, step_limit, e_limit) -> TauResult:
     """tau from a repeat of the descent state (module docstring), with
     c_i = K_i/((p^b - 1) p^a).  States map key vectors to reduced bases."""
     ring = pairs[0][0].ring
     p = ring.p
+    one = ring.one()
     K = [int(c * p**a * (p**b - 1)) for _, c in pairs]
-    tops = [len(f.gens) * (p - 1) for f, _ in pairs]
-    # The level maps live for this call only.  Shared across a jump search
-    # as well, they make a principal-cli pass about a fifth shorter, and the
-    # benchmark, which keeps every job's text until the run ends, reads the
-    # extra passes as a peak RSS past its bound (ROADMAP item 1a).
+    # The level maps live for this call only.  Shared across a jump search,
+    # they shorten a principal-cli pass by a fifth, and the benchmark reads
+    # the extra passes as a peak RSS past its bound (ROADMAP item 1a).
     maps: dict = {}
-
-    def root(B: tuple, t: tuple) -> tuple:
-        # (A_t B)^[1/p], A_t the products of t_i generators of each factor i
-        # with every exponent below p; the table keys A_t by t.
-        got = maps.get((B, t))
-        if got is None:
-            A = table.get(t)
-            if A is None:
-                A = [one]
-                for (f, _), s in zip(pairs, t):
-                    A = [g * prod(map(pow, f.gens, v), start=one)
-                         for g in A for v in _vectors(s, len(f.gens), p)]
-                table[t] = A
-            B_A = Ideal(ring, [g * h for g in B for h in A])
-            got = maps[B, t] = reduced(frobenius_root(B_A, 1).gens)
-        return got
 
     def reduced(gens) -> tuple:
         # The reduced basis; the unit ideal and one monic generator (every
@@ -274,20 +260,47 @@ def _descent_tau(pairs, a: int, b: int, params: TauParams, table: dict, *,
             return tuple(gens)
         return Ideal(ring, gens).reduced(step_limit=step_limit).gens
 
-    def level(state: dict, bounded: bool) -> dict:
-        nxt: dict = {}
-        for j, B in state.items():
-            for t in product(*(range(x % p, (min(x, top) if bounded else top) + 1, p)
-                               for x, top in zip(j, tops))):
-                nxt.setdefault(tuple((x - s) // p for x, s in zip(j, t)),
-                               []).append(root(B, t))
-        return {j: G[0] if len(G) == 1 else reduced([g for gens in G for g in gens])
-                for j, G in nxt.items()}
+    def root(B: tuple, t: tuple) -> tuple:
+        if (B, t) not in maps:
+            maps[B, t] = reduced(frobenius_root(Ideal(ring, digits.times(B, t)), 1).gens)
+        return maps[B, t]
 
-    one = ring.one()
-    state = {tuple(ceil(c * p**a) for _, c in pairs): (one,)}
+    def level(state: dict, bounded: bool) -> dict:
+        nxt = {}
+        for j, G in digits.level(state, bounded).items():
+            roots = [root(B, t) for B, t in G]
+            nxt[j] = roots[0] if len(roots) == 1 else reduced(
+                [g for gens in roots for g in gens])
+        return nxt
+
+    def term(state: dict, levels: int) -> Ideal:
+        # The chain term that the real descent reaches after these levels.
+        for _ in range(levels):
+            state = level(state, True)
+        gens = []
+        for j, B in state.items():
+            piece = Ideal(ring, B)
+            for (f, _), x in zip(pairs, j):
+                piece = ideal_product(ideal_power(f, x, gen_limit=gen_limit), piece)
+            gens += piece.gens
+        return Ideal(ring, gens).reduced(step_limit=step_limit)
+
+    def capped(e: int) -> TauResult:
+        # Level e is past the cap, but the chain ascends, so a unit term at
+        # a level 1, 2, 4, ... within the cap still proves tau = R.
+        for e2 in (2**i for i in range(limit.bit_length())):
+            value = term({tuple(ceil(c * p**e2) for _, c in pairs): (one,)}, e2)
+            if one in value.gens:
+                return _proved(value, e2)
+        _check_e(e, e_limit)
+
+    limit = E_LIMIT if e_limit is None else e_limit
+    if a + b > limit:
+        return capped(a + b)
+    start = tuple(ceil(c * p**a) for _, c in pairs)
+    state = {start: (one,)}
+    low = tuple(map(sum, zip(start, K)))  # the least key seen, factor by factor
     seen: dict = {}
-    keys: list = []
     while (frozen := tuple(sorted(state.items()))) not in seen:
         if len(seen) == params.e_max:
             raise ResourceLimitError(
@@ -296,24 +309,17 @@ def _descent_tau(pairs, a: int, b: int, params: TauParams, table: dict, *,
         seen[frozen] = len(seen)
         state = {tuple(x + k for x, k in zip(j, K)): B for j, B in state.items()}
         for _ in range(b):
-            keys += state
+            low = tuple(map(min, low, *state))
             state = level(state, False)
-    low = [min(col) for col in zip(*keys)]
     c0 = R = 0  # R = R_c0 = 1 + p^b + ... + p^((c0 - 1) b)
-    while any(k * R + x < top for k, x, top in zip(K, low, tops)):
+    while any(k * R + x < top for k, x, top in zip(K, low, digits.tops)):
         c0, R = c0 + 1, R * p**b + 1
-    state = {tuple(x + k * R for x, k in zip(j, K)): B for j, B in frozen}
-    for _ in range(c0 * b + a):
-        state = level(state, True)
-    gens = []
-    for j, B in state.items():
-        piece = Ideal(ring, B)
-        for (f, _), x in zip(pairs, j):
-            piece = ideal_product(ideal_power(f, x, gen_limit=gen_limit), piece)
-        gens += piece.gens
-    value = Ideal(ring, gens).reduced(step_limit=step_limit)
     e = max(a + (seen[frozen] + c0) * b, 1)
-    return TauResult(value, e, True, ((e, value),))
+    if e > limit:
+        return capped(e)
+    value = term({tuple(x + k * R for x, k in zip(j, K)): B for j, B in frozen},
+                 c0 * b + a)
+    return _proved(value, e)
 
 
 def _split_p(p: int, den: int) -> tuple[int, int]:

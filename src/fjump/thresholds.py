@@ -34,7 +34,7 @@ from itertools import product
 from math import comb
 
 from .errors import PreconditionError, ResourceLimitError
-from .frobroot import _check_e, _power_root
+from .frobroot import _Digits, _check_e, _power_root
 from .groebner import Ideal, ideal_power, is_subset, radical_member
 from .newton import facets
 from .oracle import minimal_vectors, monomial_exponents
@@ -141,7 +141,7 @@ def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
     against J takes J's basis, or none when J is generated by monomials."""
     ell = _nu_setup(a, J, gen_limit=gen_limit, step_limit=step_limit)
     _check_e(e_max, e_limit)
-    table: dict = {}
+    digits = _Digits([a])
     p = a.ring.p
     width = len(a.gens) * (p - 1)
     out = []
@@ -149,7 +149,7 @@ def _nu_levels(a: Ideal, J: Ideal, e_min: int, e_max: int, *,
     for e in range(1, e_max + 1):
         base = p * v
         v = next((r for r in range(base + width, base, -1)
-                  if not is_subset(_power_root(a, r, e, table, gen_limit=gen_limit),
+                  if not is_subset(_power_root(a, r, e, digits, gen_limit=gen_limit),
                                    J, step_limit=step_limit)),
                  base)
         out.append(v)
@@ -324,7 +324,7 @@ def jumping_exponents(a: Ideal, bound, params: TauParams | None = None,
     D = cap if cap is not None else db.max_denominator
 
     memo: dict[Fraction, TauResult] = {}
-    table: dict = {}  # the descent's products of generators, shared by every c
+    digits = _Digits([a])  # the descent's products of generators, for every c
 
     def tau_at(c: Fraction) -> TauResult:
         # The family is constant between jumps and every jump is admissible,
@@ -334,30 +334,23 @@ def jumping_exponents(a: Ideal, bound, params: TauParams | None = None,
         c = _family_floor(c, db)
         got = memo.get(c)
         if got is None:
-            got = test_ideal(a, c, params, gen_limit=gen_limit,
-                             step_limit=step_limit, e_limit=e_limit, table=table)
+            got = test_ideal(a, c, params, gen_limit=gen_limit, step_limit=step_limit,
+                             e_limit=e_limit, _digits=digits)
             memo[c] = got
         return got
 
-    certified = True
     jumps = [Fraction(0)]
-    base = tau_at(Fraction(0))
-    certified &= base.certified
-    ideals = [base.ideal]
+    ideals = [tau_at(Fraction(0)).ideal]
     current = Fraction(0)
     width = Fraction(1, D * D)
 
     for _ in range(_MAX_JUMPS):
-        top = tau_at(bound)
-        certified &= top.certified
-        if top.ideal == ideals[-1]:
+        if tau_at(bound).ideal == ideals[-1]:
             break
         lo, hi = current, bound
         while hi - lo >= width:
             mid = (lo + hi) / 2
-            r = tau_at(mid)
-            certified &= r.certified
-            if r.ideal == ideals[-1]:
+            if tau_at(mid).ideal == ideals[-1]:
                 lo = mid
             else:
                 hi = mid
@@ -368,9 +361,7 @@ def jumping_exponents(a: Ideal, bound, params: TauParams | None = None,
                 "raise the denominator cap")
         below = max(_family_below(cand, db), lo, current)
         at_cand = tau_at(cand)
-        at_below = tau_at(below)
-        certified &= at_cand.certified and at_below.certified
-        if at_cand.ideal == at_below.ideal:
+        if at_cand.ideal == tau_at(below).ideal:
             raise ResourceLimitError(
                 f"candidate {cand} rejected: the true jump in "
                 f"({lo}, {hi}] needs a denominator beyond {D}; raise the cap")
@@ -380,5 +371,5 @@ def jumping_exponents(a: Ideal, bound, params: TauParams | None = None,
     else:
         raise ResourceLimitError(f"more than {_MAX_JUMPS} jumps; giving up")
 
-    certified = certified and all(db.admits(j) for j in jumps)
-    return JumpList(tuple(jumps), tuple(ideals), certified)
+    # Every tau is proved; the list is certified when the family admits each jump.
+    return JumpList(tuple(jumps), tuple(ideals), all(db.admits(j) for j in jumps))

@@ -121,12 +121,11 @@ def test_tau_oracle_replays_the_chain_at_stabilized_at(cusp_path):
     assert report["meta"]["certified"] is True
 
 
-def test_tau_oracle_past_the_level_cap_is_a_resource_limit():
-    # tau(f^(1/101)) over F_2 is proved at level 200, since ord_101(2) =
-    # 100; expanding the chain term there would not finish, so the replay
-    # stops at the level cap (--e-cap, default 64).
-    code, out, err = invoke(["tau", "-i", "-", "--ideal", "f", "--c", "1/101",
-                             "--oracle"],
+def test_tau_past_the_level_cap_is_a_resource_limit():
+    # tau(f^(100/101)) over F_2 needs blocks of ord_101(2) = 100 levels,
+    # past the level cap (--e-cap, default 64), and no chain term within the
+    # cap is R, so it stops before the first block.
+    code, out, err = invoke(["tau", "-i", "-", "--ideal", "f", "--c", "100/101"],
                             "ring p=2 vars=x,y\nideal f = x^2 + y^3\n")
     assert code == 4, err
     assert out == "" and "exceeds the cap 64" in err

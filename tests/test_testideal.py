@@ -460,3 +460,34 @@ def test_block_cap_raises_resource_limit():
         tau(a, Fraction(5, 7), TauParams(e_max=1))
     got = tau(a, Fraction(5, 7), TauParams(e_max=2))
     assert got.ideal == R3.ideal("1") and got.certified
+
+
+def test_level_cap_bounds_the_descent():
+    # Over F_2 the denominator 1000003 needs blocks of ord(2) = 1000002
+    # levels, and 1/61 needs level 120, both past the level cap.  Below the
+    # cusp's threshold 1/2 a unit chain term at level 2 still proves
+    # tau = R; above it the descent stops before its first block.
+    f = R2.ideal("x^2+y^3")
+    for c in (Fraction(1, 1000003), Fraction(1, 61)):
+        got = tau(f, c)
+        assert got.ideal == R2.ideal("1") and got.certified
+        assert got.chain_trace == ((2, got.ideal),)
+        assert raw_chain(f, c, 2)[-1][1] == got.ideal
+    with pytest.raises(ResourceLimitError, match="exceeds the cap 64"):
+        tau(f, Fraction(1000002, 1000003))
+    # The descent proves tau(g^(5/6)) = (x, y) over F_7 at level 2.
+    g = ring(7, "x", "y").ideal("x^2+y^3")
+    with pytest.raises(ResourceLimitError, match="level 2 exceeds the cap 1"):
+        tau(g, Fraction(5, 6), e_limit=1)
+    assert tau(g, Fraction(5, 6), e_limit=2).stabilized_at == 2
+
+
+def test_digit_table_of_another_ideal_is_refused():
+    # A jump search hands test_ideal the table of its own ideal's products;
+    # a table built for other generators would give a wrong tau.
+    from fjump.frobroot import _Digits
+    f, g = R2.ideal("x^2+y^3"), R2.ideal("x^2+x*y")
+    got = tau(f, Fraction(1, 3), _digits=_Digits([f]))
+    assert got == tau(f, Fraction(1, 3))
+    with pytest.raises(PreconditionError, match="another ideal"):
+        tau(f, Fraction(1, 3), _digits=_Digits([g]))
