@@ -21,12 +21,12 @@ from math import ceil
 
 from .errors import (FjumpError, JobFileError, PolyParseError,
                      PreconditionError, ResourceLimitError)
-from .groebner import Ideal, buchberger
+from .groebner import Ideal, buchberger, ideal_power
 from .frobroot import bracket_power, frobenius_root
 from .jobfile import JobInput, load_job
 from .multipoly import GREVLEX, LEX
 from .oracle import (monomial_exponents, monomial_ideal, nu_bruteforce,
-                     power_root_vectors, root_monomial, test_ideal_chain)
+                     power_root_vectors, root_monomial)
 from .ratutil import format_rational, parse_rational
 from .testideal import TauParams, mixed_test_ideal, test_ideal
 from .thresholds import (denominator_bound, f_threshold, fpt,
@@ -310,12 +310,11 @@ def _chain_term(I: Ideal, c, e: int, gen_cap: int) -> Ideal:
     """The raw chain term (I^ceil(c p^e))^[1/p^e].  For monomial generators
     it comes from the floor formula, which never expands the power; any
     other ideal is expanded (its tau is proved within the level cap)."""
-    if I.is_zero() or not all(g.is_term() for g in I.gens):
-        return test_ideal_chain(I, c, e, gen_limit=gen_cap)[-1][1]
     q = I.ring.p ** e
-    vecs = power_root_vectors([(monomial_exponents(I), ceil(c * q))], q,
-                              I.ring.nvars, gen_limit=gen_cap)
-    return monomial_ideal(I.ring, vecs)
+    if I.is_zero() or not all(g.is_term() for g in I.gens):
+        return frobenius_root(ideal_power(I, ceil(c * q), gen_limit=gen_cap), e)
+    return monomial_ideal(I.ring, power_root_vectors(
+        [(monomial_exponents(I), ceil(c * q))], q, I.ring.nvars, gen_limit=gen_cap))
 
 
 def _agree(fast: Ideal, reference: Ideal) -> bool:

@@ -14,8 +14,9 @@ depend on the chosen generators.
 
 The root of a power a^r of an ideal with any number of generators is taken
 by digit descent (``power_root``) from BMS's (b^[p] c)^[1/p] = b c^[1/p],
-a few level-1 roots per level, without expanding a^r.  One level of that
-descent (``_Digits``) also drives the test ideals of ``testideal``.
+a few level-1 roots per level, without expanding a^r.  The one descent
+(``_Digits``) also takes the roots of the nu walk and every non-monomial
+test ideal of ``testideal``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import product
 from math import comb
 
 from .errors import FjumpError, ResourceLimitError
-from .groebner import DEFAULT_GEN_LIMIT, Ideal, ideal_power
+from .groebner import Ideal, _vectors, ideal_power
 from .multipoly import GREVLEX, Poly
 
 E_LIMIT = 64
@@ -79,15 +80,12 @@ def frobenius_root(b: Ideal, e: int, *, e_limit: int | None = None) -> Ideal:
 def power_root(a: Ideal | Poly, r: int, e: int, *, gen_limit: int | None = None,
                e_limit: int | None = None) -> Ideal:
     """(a^r)^[1/p^e] for an ideal a = (f_1, ..., f_m), or a polynomial f
-    standing for (f), by digit descent (``_Digits``), without expanding a^r.
-
-    Starting from {r: (1)}, each of the e levels maps a state {j: B_j} to
-    the next, about m + 1 keys wide; the root is the sum of the a^j * B_j
-    left at the end, j near r/p^e.  For m = 1 the state has one key and
-    A_t = (f^t): each level multiplies by f^(d_k), d_k the next base-p digit
-    of r.  With m >= 2, a power a^r of at most 24 generators
-    (``_LITERAL_GENS``) is expanded instead.  ``gen_limit`` bounds the
-    final a^j and those literal powers."""
+    standing for (f), by e levels of digit descent (``_Digits``) from the
+    state {r: (1)}, each about m + 1 keys wide, without expanding a^r.  For
+    m = 1 each level multiplies by f^d, d the next base-p digit of r.  With
+    m >= 2, a power a^r of at most 24 generators (``_LITERAL_GENS``) is
+    expanded instead.  ``gen_limit`` bounds the final a^j and those literal
+    powers."""
     _check_e(e, e_limit)
     if r < 0:
         raise FjumpError("powers need a nonnegative exponent")
@@ -108,31 +106,15 @@ def _power_root(a: Ideal, r: int, e: int, digits: _Digits, *,
                 gen_limit: int | None = None) -> Ideal:
     """``power_root`` without its checks (the caller checks e), taking its
     products of generators from ``digits``, a table for the factor list [a]."""
-    ring, m = a.ring, len(a.gens)
+    m = len(a.gens)
     if not m or m > 1 and comb(r + m - 1, m - 1) <= _LITERAL_GENS:
         return frobenius_root(ideal_power(a, r, gen_limit=gen_limit), e, e_limit=e)
-    state = {(r,): [ring.one()]}
-    for _ in range(e):
-        state = {s: frobenius_root(Ideal(ring, [g for B, t in G
-                                                for g in digits.times(B, t)]), 1).gens
-                 for s, G in digits.level(state).items()}
-    limit = DEFAULT_GEN_LIMIT if gen_limit is None else gen_limit
-    out = []
-    for (j,), B in state.items():
-        if j == 0:
-            out += B
-            continue
-        count = comb(j + m - 1, m - 1)
-        if count > limit:
-            raise ResourceLimitError(
-                f"I^{j} would need {count} generators (cap {limit})")
-        out += [g * digits.power(0, v) for v in _vectors(j, m, j + 1) for g in B]
-    return Ideal(ring, out)
+    return digits.expand(digits.descend({(r,): (a.ring.one(),)}, e), gen_limit)
 
 
 class _Digits:
-    """One level of the digit descent of a product of powers prod_i a_i^(j_i),
-    and the products of generators it multiplies by, each expanded once.
+    """The digit descent of a product of powers prod_i a_i^(j_i), and the
+    products of generators it multiplies by, each expanded once.
 
     Let A_t hold the products f^g of t_i generators of each a_i, every
     exponent below p.  A product of j_i generators splits as f^g * (f^d)^p,
@@ -141,16 +123,19 @@ class _Digits:
         (prod_i a_i^(j_i) * B)^[1/p] = sum_t prod_i a_i^((j_i - t_i)/p) * (A_t * B)^[1/p]
 
     over t_i = j_i mod p, t_i <= m_i (p - 1), m_i the generator count of
-    a_i, and t_i <= j_i unless the level is unbounded.  The table keys A_t
+    a_i, and t_i <= j_i unless the level is unbounded.  After the last level
+    the root is the sum of the prod_i a_i^(j_i) * B_j.  The table keys A_t
     by t and each factor's f^g by (i, g); one table serves every descent
     on the same factors (a nu walk, a jump search)."""
 
     def __init__(self, factors):
+        self.factors = factors
         self.gens = [a.gens for a in factors]
-        self.one = factors[0].ring.one()
-        self.p = p = factors[0].ring.p
+        self.ring = factors[0].ring
+        self.p = p = self.ring.p
         self.tops = [len(g) * (p - 1) for g in self.gens]
         self.table: dict = {}
+        self.powers: dict = {}  # (i, x) -> the generators of a_i^x
 
     def power(self, i: int, g: tuple) -> Poly:
         """f^g for the generators f of factor i."""
@@ -170,7 +155,7 @@ class _Digits:
             return B
         A = self.table.get(t)
         if A is None:
-            A = [self.one]
+            A = [self.ring.one()]
             for i, s in enumerate(t):
                 if s:
                     A = [h * self.power(i, g) for h in A
@@ -190,13 +175,31 @@ class _Digits:
                                []).append((B, t))
         return nxt
 
+    def descend(self, state: dict, levels: int, bounded: bool = True,
+                root=None) -> dict:
+        """The state these levels lead to; ``root`` maps a key's pairs to gens."""
+        root = root or (lambda G: self.root(G).gens)
+        for _ in range(levels):
+            state = {j: root(G) for j, G in self.level(state, bounded).items()}
+        return state
 
-def _vectors(t: int, m: int, cap: int) -> list:
-    """Exponent vectors of length m with entries below cap, summing to t."""
-    if m == 1:
-        return [(t,)] if t < cap else []
-    return [(k,) + v for k in range(min(t, cap - 1) + 1)
-            for v in _vectors(t - k, m - 1, cap)]
+    def root(self, pairs) -> Ideal:
+        """The sum of the (A_t * B)^[1/p] over the pairs."""
+        return frobenius_root(Ideal(self.ring, [g for B, t in pairs
+                                                for g in self.times(B, t)]), 1)
+
+    def expand(self, state: dict, gen_limit: int | None = None) -> Ideal:
+        """The sum of the prod_i a_i^(j_i) * B_j, each power within gen_limit."""
+        out = []
+        for j, B in state.items():
+            for i, x in enumerate(j):
+                if x:
+                    if (i, x) not in self.powers:
+                        self.powers[i, x] = ideal_power(self.factors[i], x,
+                                                        gen_limit=gen_limit).gens
+                    B = [f * g for f in self.powers[i, x] for g in B]
+            out += B
+        return Ideal(self.ring, out)
 
 
 def root_scaled(b: Ideal, e_num: int, e_den: int, *, e_limit: int | None = None) -> Ideal:

@@ -14,8 +14,9 @@ monomials go term by term, with no basis and no step cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import cache, reduce
 from math import comb
+from operator import mul
 
 from .errors import FjumpError, ResourceLimitError, RingMismatchError
 from .multipoly import (GREVLEX, MonomialOrder, Poly, RingCtx,
@@ -203,6 +204,13 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX, *,
     returns a wrong basis.
     """
     ring, gens = I.ring, I.gens
+    # The unit ideal and a principal ideal need no pairs: the basis is a
+    # constant or the one generator, made monic.
+    f = next((g for g in gens if g.is_constant()), gens[0] if len(gens) == 1 else None)
+    if f is not None:
+        c = f.lead_term(order)[1]
+        return GroebnerBasis(ring, order,
+                             (f if c == 1 else f * ring.constant(ring.field.inv(c)),))
     budget = _Budget(step_limit)
     p = ring.p
     keyf = order.key
@@ -354,8 +362,10 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_power(I: Ideal, r: int, *, gen_limit: int | None = None) -> Ideal:
-    """Generated by all r-fold products of generators; I^0 is the unit
-    ideal, and the zero ideal stays zero for positive r."""
+    """Generated by the products f_1^(v_1) ... f_m^(v_m) of the generators
+    over the exponent vectors v summing to r, v descending lexicographically
+    (x^2, xy, xz, y^2, yz, z^2); I^0 is the unit ideal, and the zero ideal
+    stays zero for positive r."""
     if r < 0:
         raise FjumpError("ideal powers need a nonnegative exponent")
     if r == 0:
@@ -368,34 +378,25 @@ def ideal_power(I: Ideal, r: int, *, gen_limit: int | None = None) -> Ideal:
     if count > limit:
         raise ResourceLimitError(
             f"I^{r} would need {count} generators (cap {limit})")
-    powers: dict = {}  # (gen index, k) -> gens[i]^k, via the sparse digit path
-
-    def power_of(g: int, k: int) -> Poly:
-        got = powers.get((g, k))
-        if got is None:
-            got = I.gens[g] ** k
-            powers[(g, k)] = got
-        return got
-
+    power = cache(lambda i, k: I.gens[i] ** k)  # f_i^k, via the sparse digit path
     out = []
     terms_seen = 0
-    for combo in combinations_with_replacement(range(m), r):
-        prod = None
-        idx = 0
-        while idx < r:
-            g = combo[idx]
-            k = 1
-            while idx + k < r and combo[idx + k] == g:
-                k += 1
-            piece = power_of(g, k)
-            prod = piece if prod is None else prod * piece
-            idx += k
+    for v in reversed(_vectors(r, m, r + 1)):
+        prod = reduce(mul, [power(i, k) for i, k in enumerate(v) if k])
         out.append(prod)
         terms_seen += prod.num_terms()
         if terms_seen > POWER_TERM_BUDGET:
             raise ResourceLimitError(
                 f"I^{r} exceeds {POWER_TERM_BUDGET} total terms")
     return Ideal(I.ring, out)
+
+
+def _vectors(t: int, m: int, cap: int) -> list:
+    """Exponent vectors of length m, entries below cap, sum t, in lex order."""
+    if m == 1:
+        return [(t,)] if t < cap else []
+    return [(k,) + v for k in range(min(t, cap - 1) + 1)
+            for v in _vectors(t - k, m - 1, cap)]
 
 
 def ideal_intersect(I: Ideal, J: Ideal, *, step_limit: int | None = None) -> Ideal:

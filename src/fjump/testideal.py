@@ -8,13 +8,10 @@ L_e = (a^ceil(c p^e))^[1/p^e]; over F_p the union is a single chain term
   interior lattice points of the scaled Newton polyhedron (Howald;
   Hara-Yoshida), computed in ``newton``, and the level is bounded from the
   polyhedron without evaluating any chain term.
-* For a hypersurface (f), f not a monomial, at c = r/p^a with a >= 1 the
-  chain is constant from level a on, so tau(f^c) = (f^r)^[1/p^a] (BMS),
-  taken by one digit descent (``frobroot.power_root``).
 * Every other test ideal, plain or mixed, comes from a repeat of the
-  digit-descent state: Katzman's ascending-ideal method (``ascendIdeal`` in
-  Macaulay2's TestIdeals) for any number of generators, one level of the
-  descent being ``frobroot._Digits.level``.  Write c = c'/p^a
+  state of the digit descent (``frobroot._Digits``): Katzman's
+  ascending-ideal method (``ascendIdeal`` in Macaulay2's TestIdeals) for
+  any number of generators.  Write c = c'/p^a
   with c' = K/(p^b - 1), where p^b = 1 modulo the p-free part of c's
   denominator.  Then ceil(c p^(a+nb)) = K R_n + ceil(c'), with R_n = 1 +
   p^b + ... + p^((n-1)b).  The descent (a^j B)^[1/p] = sum_t
@@ -29,11 +26,14 @@ L_e = (a^ceil(c p^e))^[1/p^e]; over F_p the union is a single chain term
   levels of the real descent from a state of the cycle.  These terms
   repeat periodically and ascend, so they are all equal, and equal to tau.
   The result is that term at a + (j + c0) b.  A mixed test ideal runs the
-  same automaton on a vector of keys, one per factor.  The level cap
-  e_limit bounds the descent: it stops before its last levels when
-  a + (j + c0) b passes the cap, and before its first block when a + b
-  does, unless a chain term at a level 1, 2, 4, ... within the cap is R,
-  which proves tau = R since the chain ascends.
+  same automaton on a vector of keys, one per factor.  For a hypersurface
+  (f) at c = r/p^a the first block returns {r: (1)}, so j = c0 = 0 and the
+  result is BMS's (f^r)^[1/p^a] at level a, taken without that block and
+  refused when a passes the level cap e_limit.  Otherwise the cap stops
+  the descent before its last levels when a + (j + c0) b passes it, and
+  before its first block when a + b does, unless a chain term at a level
+  1, 2, 4, ... within the cap is R, which proves tau = R since the chain
+  ascends.
 
 Exponents c >= the number of generators are first peeled down by Skoda's
 theorem, tau(a^c) = a * tau(a^(c-1)).
@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import ceil, lcm
 
 from .errors import FjumpError, PreconditionError, ResourceLimitError
-from .frobroot import E_LIMIT, _check_e, _Digits, _power_root, frobenius_root
+from .frobroot import E_LIMIT, _check_e, _Digits
 from .groebner import Ideal, generated_in_degree, ideal_power, ideal_product
 from .newton import tau_vectors
 from .oracle import minimal_vectors, monomial_ideal
@@ -72,13 +72,12 @@ class TauResult:
     """A computed test ideal.
 
     ``certified`` is True: a theorem proves every result, the
-    Newton-polyhedron closed form for monomial inputs, tau(f^(r/p^a)) =
-    (f^r)^[1/p^a] for a hypersurface at a p-power denominator, a repeat of
-    the descent state otherwise.  ``stabilized_at`` is a chain level
-    (chains start at level 1) from which the chain provably equals the
-    result: a level read off the polyhedron for the closed form, a for the
-    p-power formula, a + (j + c0) b for the descent, or the level of a
-    unit chain term (module docstring).
+    Newton-polyhedron closed form for monomial inputs, a repeat of the
+    descent state otherwise.  ``stabilized_at`` is a chain level (chains
+    start at level 1) from which the chain provably equals the result: a
+    level read off the polyhedron for the closed form, a + (j + c0) b for
+    the descent (a for a hypersurface at c = r/p^a), or the level of a unit
+    chain term (module docstring).
     ``chain_trace`` is empty for the closed form; otherwise it is the single
     proved entry (stabilized_at, result), Skoda-scaled or not, and the
     result is that entry's ideal, generated by its reduced grevlex basis.
@@ -224,26 +223,18 @@ def _stable_value(pairs, params: TauParams, digits: _Digits, *, gen_limit,
     if groups is not None:
         vecs, stab = tau_vectors(groups, ring.p)
         return TauResult(monomial_ideal(ring, vecs), stab, True)
-    level, rest = _split_p(ring.p, lcm(*(c.denominator for _, c in pairs)))
-    if len(pairs) == 1 and len(pairs[0][0].gens) == 1 and level and rest == 1:
-        # tau(f^(r/p^a)) = (f^r)^[1/p^a] (BMS), the chain term at every
-        # level from a on.
-        (a, c), = pairs
-        _check_e(level, e_limit)
-        value = _power_root(a, c.numerator, level, digits,
-                            gen_limit=gen_limit).reduced(step_limit=step_limit)
-        return _proved(value, level)
-    return _descent_tau(pairs, level, multiplicative_order(ring.p, rest), params,
-                        digits, gen_limit=gen_limit, step_limit=step_limit,
-                        e_limit=e_limit)
+    a, rest = _split_p(ring.p, lcm(*(c.denominator for _, c in pairs)))
+    return _descent_tau(pairs, a, rest, params, digits, gen_limit=gen_limit,
+                        step_limit=step_limit, e_limit=e_limit)
 
 
-def _descent_tau(pairs, a: int, b: int, params: TauParams, digits: _Digits, *,
+def _descent_tau(pairs, a: int, rest: int, params: TauParams, digits: _Digits, *,
                  gen_limit, step_limit, e_limit) -> TauResult:
-    """tau from a repeat of the descent state (module docstring), with
-    c_i = K_i/((p^b - 1) p^a).  States map key vectors to reduced bases."""
+    """tau from a repeat of the descent state (module docstring), with c_i =
+    K_i/((p^b - 1) p^a), p^b = 1 mod rest; states map keys to reduced bases."""
     ring = pairs[0][0].ring
     p = ring.p
+    b = multiplicative_order(p, rest)
     one = ring.one()
     K = [int(c * p**a * (p**b - 1)) for _, c in pairs]
     # The level maps live for this call only.  Shared across a jump search,
@@ -251,39 +242,19 @@ def _descent_tau(pairs, a: int, b: int, params: TauParams, digits: _Digits, *,
     # the extra passes as a peak RSS past its bound (ROADMAP item 1a).
     maps: dict = {}
 
-    def reduced(gens) -> tuple:
-        # The reduced basis; the unit ideal and one monic generator (every
-        # root generator is monic) need no Buchberger run.
-        if one in gens:
-            return (one,)
-        if len(gens) == 1:
-            return tuple(gens)
-        return Ideal(ring, gens).reduced(step_limit=step_limit).gens
-
-    def root(B: tuple, t: tuple) -> tuple:
-        if (B, t) not in maps:
-            maps[B, t] = reduced(frobenius_root(Ideal(ring, digits.times(B, t)), 1).gens)
-        return maps[B, t]
-
-    def level(state: dict, bounded: bool) -> dict:
-        nxt = {}
-        for j, G in digits.level(state, bounded).items():
-            roots = [root(B, t) for B, t in G]
-            nxt[j] = roots[0] if len(roots) == 1 else reduced(
-                [g for gens in roots for g in gens])
-        return nxt
+    def root(G) -> tuple:
+        # The sum of the cached, reduced level-1 roots of the pairs (B, t).
+        for pair in G:
+            if pair not in maps:
+                maps[pair] = digits.root([pair]).reduced(step_limit=step_limit).gens
+        if len(G) == 1:
+            return maps[G[0]]
+        return Ideal(ring, [g for q in G for g in maps[q]]).reduced(step_limit=step_limit).gens
 
     def term(state: dict, levels: int) -> Ideal:
         # The chain term that the real descent reaches after these levels.
-        for _ in range(levels):
-            state = level(state, True)
-        gens = []
-        for j, B in state.items():
-            piece = Ideal(ring, B)
-            for (f, _), x in zip(pairs, j):
-                piece = ideal_product(ideal_power(f, x, gen_limit=gen_limit), piece)
-            gens += piece.gens
-        return Ideal(ring, gens).reduced(step_limit=step_limit)
+        return digits.expand(digits.descend(state, levels, True, root),
+                             gen_limit).reduced(step_limit=step_limit)
 
     def capped(e: int) -> TauResult:
         # Level e is past the cap, but the chain ascends, so a unit term at
@@ -295,9 +266,15 @@ def _descent_tau(pairs, a: int, b: int, params: TauParams, digits: _Digits, *,
         _check_e(e, e_limit)
 
     limit = E_LIMIT if e_limit is None else e_limit
+    start = tuple(ceil(c * p**a) for _, c in pairs)
+    if rest == 1 and [len(f.gens) for f, _ in pairs] == [1]:
+        # tau(f^(r/p^a)): the first block returns {r: (1)}, so k = c0 = 0
+        # (BMS).  Each level's root is taken once, so none is cached or reduced.
+        _check_e(max(a, 1), e_limit)
+        value = digits.expand(digits.descend({start: (one,)}, a), gen_limit)
+        return _proved(value.reduced(step_limit=step_limit), max(a, 1))
     if a + b > limit:
         return capped(a + b)
-    start = tuple(ceil(c * p**a) for _, c in pairs)
     state = {start: (one,)}
     low = tuple(map(sum, zip(start, K)))  # the least key seen, factor by factor
     seen: dict = {}
@@ -310,7 +287,7 @@ def _descent_tau(pairs, a: int, b: int, params: TauParams, digits: _Digits, *,
         state = {tuple(x + k for x, k in zip(j, K)): B for j, B in state.items()}
         for _ in range(b):
             low = tuple(map(min, low, *state))
-            state = level(state, False)
+            state = digits.descend(state, 1, False, root)
     c0 = R = 0  # R = R_c0 = 1 + p^b + ... + p^((c0 - 1) b)
     while any(k * R + x < top for k, x, top in zip(K, low, digits.tops)):
         c0, R = c0 + 1, R * p**b + 1

@@ -131,6 +131,28 @@ def test_tau_past_the_level_cap_is_a_resource_limit():
     assert out == "" and "exceeds the cap 64" in err
 
 
+def test_tau_at_a_huge_integer_exponent(job_path):
+    # Skoda reduction leaves f^(2^40), one generator, one Frobenius power.
+    code, out, err = invoke(["tau", "-i", job_path, "--ideal", "f",
+                             "--c", "1099511627776"])
+    assert code == 0, err
+    assert "generators: y^3298534883328 + x^2199023255552" in out.splitlines()
+
+
+def test_tau_oracle_expands_only_the_compared_level():
+    cusp2 = "ring p=2 vars=x,y\nideal f = x^2 + y^3\n"
+    code, out, err = invoke(["tau", "-i", "-", "--ideal", "f", "--c", "1/63",
+                             "--oracle"], cusp2)
+    assert code == 0, err
+    assert {"oracle_agreement: True", "stabilized_at: 12"} <= set(out.splitlines())
+    # tau at 60/61 is proved at level 60; the oracle expands only
+    # f^ceil(60/61 * 2^60), which passes the term cap, not the levels below.
+    code, out, err = invoke(["tau", "-i", "-", "--ideal", "f", "--c", "60/61",
+                             "--oracle"], cusp2)
+    assert code == 4 and out == ""
+    assert "f^1134021152072308501 exceeds" in err
+
+
 def test_tau_oracle_on_monomial_ideal_replays_by_the_floor_formula():
     # The chain level stabilized_at = 6 needs I^708, far past the
     # generator cap; the floor formula reaches it without expanding.

@@ -63,6 +63,21 @@ def test_ideal_power():
         ideal_power(R2.ideal("x", "y", "x+y"), 400, gen_limit=100)
 
 
+def test_ideal_power_generator_order():
+    # Exponent vectors descend lexicographically; a monomial Skoda product
+    # is printed unreduced, in this order.
+    R = ring(2, "x", "y", "z")
+    assert [str(g) for g in ideal_power(R.ideal("x", "y", "z"), 2).gens] == [
+        "x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]
+
+
+def test_ideal_power_of_one_generator_at_a_huge_exponent():
+    # One generator gives one product at any exponent; over F_2 the 2^40-th
+    # power is a Frobenius power with two terms.
+    got = ideal_power(R2.ideal("x^2+y^3"), 2**40)
+    assert [str(g) for g in got.gens] == ["y^3298534883328 + x^2199023255552"]
+
+
 def test_radical_membership():
     assert radical_member(R2.poly("x"), R2.ideal("x^2"))
     assert not radical_member(R2.poly("y"), R2.ideal("x"))

@@ -482,6 +482,19 @@ def test_level_cap_bounds_the_descent():
     assert tau(g, Fraction(5, 6), e_limit=2).stabilized_at == 2
 
 
+def test_level_cap_at_a_p_power_exponent():
+    # tau(f^(r/2^a)) is proved at level a; the cap counts no level past it.
+    f, m = R2.ideal("x^2+y^3"), R2.ideal("x", "y")
+    got = tau(f, Fraction(5, 8), e_limit=3)
+    assert got.ideal == m and got.stabilized_at == 3
+    with pytest.raises(ResourceLimitError, match="level 3 exceeds the cap 2"):
+        tau(f, Fraction(5, 8), e_limit=2)
+    got = tau(f, Fraction(3, 4), e_limit=2)
+    assert got.ideal == m and got.stabilized_at == 2
+    got = tau(f, Fraction(7, 1024), e_limit=10)
+    assert got.ideal == R2.ideal("1") and got.stabilized_at == 10
+
+
 def test_digit_table_of_another_ideal_is_refused():
     # A jump search hands test_ideal the table of its own ideal's products;
     # a table built for other generators would give a wrong tau.
