@@ -21,8 +21,9 @@ from math import ceil
 
 from .errors import (FjumpError, JobFileError, PolyParseError,
                      PreconditionError, ResourceLimitError)
-from .groebner import Ideal, buchberger, ideal_power
-from .frobroot import bracket_power, frobenius_root
+from .groebner import (DEFAULT_GEN_LIMIT, DEFAULT_STEP_LIMIT, Ideal, buchberger,
+                       ideal_power)
+from .frobroot import E_LIMIT, bracket_power, frobenius_root
 from .jobfile import JobInput, load_job
 from .multipoly import GREVLEX, LEX
 from .oracle import (monomial_exponents, monomial_ideal, nu_bruteforce,
@@ -101,17 +102,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--oracle", action="store_true",
                        help="replay through the brute-force reference and compare")
-        p.add_argument("--gb-step-cap", type=int, default=500_000, metavar="N",
-                       help="Groebner work cap (default 500000)")
-        p.add_argument("--gen-cap", type=int, default=100_000, metavar="N",
-                       help="generator-count cap for ideal powers (default 100000)")
-        p.add_argument("--e-cap", type=int, default=64, metavar="N",
-                       help="largest Frobenius level (default 64)")
+        p.add_argument("--gb-step-cap", type=int, default=DEFAULT_STEP_LIMIT,
+                       metavar="N", help="Groebner work cap (default %(default)s)")
+        p.add_argument("--gen-cap", type=int, default=DEFAULT_GEN_LIMIT, metavar="N",
+                       help="generator-count cap for ideal powers (default %(default)s)")
+        p.add_argument("--e-cap", type=int, default=E_LIMIT, metavar="N",
+                       help="largest Frobenius level (default %(default)s)")
 
     def tau_flags(p):
-        p.add_argument("--e-max", type=int, default=20,
+        p.add_argument("--e-max", type=int, default=TauParams.e_max,
                        help="blocks of levels the descent may run before its "
-                            "state must repeat (default 20)")
+                            "state must repeat (default %(default)s)")
 
     p = sub.add_parser("root", help="Frobenius root b^[1/p^e]")
     common(p)
@@ -308,13 +309,14 @@ def _no_oracle(args):
 
 def _chain_term(I: Ideal, c, e: int, gen_cap: int) -> Ideal:
     """The raw chain term (I^ceil(c p^e))^[1/p^e].  For monomial generators
-    it comes from the floor formula, which never expands the power; any
-    other ideal is expanded (its tau is proved within the level cap)."""
-    q = I.ring.p ** e
+    it comes from the digit descent (``oracle.power_root_vectors``), which
+    never expands the power; any other ideal is expanded (its tau is proved
+    within the level cap)."""
+    r = ceil(c * I.ring.p ** e)
     if I.is_zero() or not all(g.is_term() for g in I.gens):
-        return frobenius_root(ideal_power(I, ceil(c * q), gen_limit=gen_cap), e)
+        return frobenius_root(ideal_power(I, r, gen_limit=gen_cap), e)
     return monomial_ideal(I.ring, power_root_vectors(
-        [(monomial_exponents(I), ceil(c * q))], q, I.ring.nvars, gen_limit=gen_cap))
+        [(monomial_exponents(I), r)], I.ring, e, gen_limit=gen_cap))
 
 
 def _agree(fast: Ideal, reference: Ideal) -> bool:

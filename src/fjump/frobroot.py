@@ -15,8 +15,9 @@ depend on the chosen generators.
 The root of a power a^r of an ideal with any number of generators is taken
 by digit descent (``power_root``) from BMS's (b^[p] c)^[1/p] = b c^[1/p],
 a few level-1 roots per level, without expanding a^r.  The one descent
-(``_Digits``) also takes the roots of the nu walk and every non-monomial
-test ideal of ``testideal``.
+(``_Digits``) also takes the roots of the nu walk, every non-monomial
+test ideal of ``testideal`` and the monomial chain terms of
+``oracle.power_root_vectors``.
 """
 
 from __future__ import annotations

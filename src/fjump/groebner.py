@@ -80,8 +80,10 @@ class Ideal:
 
     def reduced(self, *, step_limit: int | None = None) -> "Ideal":
         """The same ideal generated by its reduced grevlex basis, which the
-        new Ideal keeps as its cached basis."""
+        new Ideal keeps as its cached basis; self if it is generated so."""
         gb = self.groebner_basis(step_limit=step_limit)
+        if gb.polys == self.gens:
+            return self
         out = Ideal(self.ring, gb.polys)
         object.__setattr__(out, "_gb", gb)
         return out

@@ -28,12 +28,12 @@ L_e = (a^ceil(c p^e))^[1/p^e]; over F_p the union is a single chain term
   The result is that term at a + (j + c0) b.  A mixed test ideal runs the
   same automaton on a vector of keys, one per factor.  For a hypersurface
   (f) at c = r/p^a the first block returns {r: (1)}, so j = c0 = 0 and the
-  result is BMS's (f^r)^[1/p^a] at level a, taken without that block and
-  refused when a passes the level cap e_limit.  Otherwise the cap stops
-  the descent before its last levels when a + (j + c0) b passes it, and
-  before its first block when a + b does, unless a chain term at a level
-  1, 2, 4, ... within the cap is R, which proves tau = R since the chain
-  ascends.
+  result is BMS's (f^r)^[1/p^a] at level a, taken without that block.
+  One rule caps every descent: when the level it would prove tau at (a
+  for a hypersurface at c = r/p^a, a + b before the first block, a + (j +
+  c0) b before the last levels) passes e_limit, it raises, unless a chain
+  term at a level 1, 2, 4, ... within the cap is R, which proves tau = R
+  since the chain ascends.
 
 Exponents c >= the number of generators are first peeled down by Skoda's
 theorem, tau(a^c) = a * tau(a^(c-1)).
@@ -270,9 +270,11 @@ def _descent_tau(pairs, a: int, rest: int, params: TauParams, digits: _Digits, *
     if rest == 1 and [len(f.gens) for f, _ in pairs] == [1]:
         # tau(f^(r/p^a)): the first block returns {r: (1)}, so k = c0 = 0
         # (BMS).  Each level's root is taken once, so none is cached or reduced.
-        _check_e(max(a, 1), e_limit)
+        e = max(a, 1)
+        if e > limit:
+            return capped(e)
         value = digits.expand(digits.descend({start: (one,)}, a), gen_limit)
-        return _proved(value.reduced(step_limit=step_limit), max(a, 1))
+        return _proved(value.reduced(step_limit=step_limit), e)
     if a + b > limit:
         return capped(a + b)
     state = {start: (one,)}

@@ -4,8 +4,10 @@ import json
 import jsonschema
 import pytest
 
-from fjump import JobFileError, cli, load_job
+from fjump import JobFileError, TauParams, cli, load_job
 from fjump.cli import REPORT_SCHEMA, run
+from fjump.frobroot import E_LIMIT
+from fjump.groebner import DEFAULT_GEN_LIMIT, DEFAULT_STEP_LIMIT
 
 EXAMPLE = """\
 # toy inputs
@@ -153,9 +155,9 @@ def test_tau_oracle_expands_only_the_compared_level():
     assert "f^1134021152072308501 exceeds" in err
 
 
-def test_tau_oracle_on_monomial_ideal_replays_by_the_floor_formula():
+def test_tau_oracle_on_monomial_ideal_replays_by_the_digit_descent():
     # The chain level stabilized_at = 6 needs I^708, far past the
-    # generator cap; the floor formula reaches it without expanding.
+    # generator cap; the digit descent reaches it without expanding.
     code, out, err = invoke(["tau", "-i", "-", "--ideal", "a", "--c", "97/100",
                              "--oracle", "--format", "json"],
                             "ring p=3 vars=x,y\nideal a = x^3, x*y, y^4\n")
@@ -260,6 +262,13 @@ def test_bad_flag_values_are_usage_errors(job_path, argv):
     code, out, err = invoke(argv + ["-i", job_path])
     assert code == 1, err
     assert out == "" and "usage error" in err and "e_min" not in err
+
+
+def test_flag_defaults_come_from_the_library():
+    args = cli._build_parser().parse_args(
+        ["tau", "-i", "-", "--ideal", "a", "--c", "1"])
+    assert (args.gb_step_cap, args.gen_cap, args.e_cap, args.e_max) == (
+        DEFAULT_STEP_LIMIT, DEFAULT_GEN_LIMIT, E_LIMIT, TauParams().e_max)
 
 
 def test_missing_ideal_is_input_error(job_path):

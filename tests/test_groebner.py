@@ -107,6 +107,14 @@ def test_reduced_basis_shape():
             assert all(g is h for h in I.gens if h == g)
 
 
+def test_reduced_ideal_comes_back_as_itself():
+    I = R3.ideal("x^2+y^2", "x*y").reduced()
+    assert I.reduced() is I
+    assert I._gb is not None and I._gb.polys == I.gens
+    J = R3.ideal("x^2+y^2", "x^2+y^2+x*y")
+    assert J.reduced() is not J and J.reduced() == J
+
+
 def test_s_polynomials_reduce_to_zero():
     rnd = random.Random(5)
     for _ in range(15):

@@ -37,11 +37,11 @@ def test_power_root_vectors_against_enumeration():
         m = rnd.randint(1, 3)
         vecs = [tuple(rnd.randint(0, 6) for _ in range(n)) for _ in range(m)]
         r = rnd.randint(0, 12)
-        q = rnd.choice([2, 3, 4, 8, 9, 27])
-        got = power_root_vectors([(vecs, r)], q, n)
+        p, e = rnd.choice([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+        got = power_root_vectors([(vecs, r)], ring(p, *"xyz"[:n]), e)
         want = minimal_vectors(brute_force_monomial_power_root(
-            minimal_vectors(vecs), r, q, n))
-        assert got == frozenset(want), (vecs, r, q)
+            minimal_vectors(vecs), r, p**e, n))
+        assert got == frozenset(want), (vecs, r, p, e)
 
 
 def test_power_root_vectors_mixed_groups():
@@ -51,8 +51,9 @@ def test_power_root_vectors_mixed_groups():
         g1 = [tuple(rnd.randint(0, 4) for _ in range(n)) for _ in range(2)]
         g2 = [tuple(rnd.randint(0, 4) for _ in range(n))]
         r1, r2 = rnd.randint(0, 6), rnd.randint(0, 6)
-        q = rnd.choice([2, 4, 3])
-        got = power_root_vectors([(g1, r1), (g2, r2)], q, n)
+        p, e = rnd.choice([(2, 1), (2, 2), (3, 1)])
+        q = p**e
+        got = power_root_vectors([(g1, r1), (g2, r2)], ring(p, "x", "y"), e)
         base = brute_force_monomial_power_root(minimal_vectors(g1), r1, 1, n)
         want = set()
         for v in base:
@@ -62,10 +63,11 @@ def test_power_root_vectors_mixed_groups():
 
 
 def test_monomial_power_root_large_level():
-    # The sweep touches only floor breakpoints, so huge levels stay cheap.
+    # The descent takes one level-1 root per level and expands no power
+    # past the generators' digits, so huge levels stay cheap.
     xy = ((1, 0), (0, 1))
-    assert power_root_vectors([(xy, 2**41)], 2**40, 2) == {(1, 0), (0, 1)}
-    assert power_root_vectors([(xy, 2**40)], 2**40, 2) == {(0, 0)}
+    assert power_root_vectors([(xy, 2**41)], R2, 40) == {(1, 0), (0, 1)}
+    assert power_root_vectors([(xy, 2**40)], R2, 40) == {(0, 0)}
 
 
 def test_monomial_power_root_matches_direct_route():
@@ -75,8 +77,8 @@ def test_monomial_power_root_matches_direct_route():
         a = random_monomial_ideal(rnd, R, max_gens=3, max_exp=5)
         r = rnd.randint(0, 5)
         e = rnd.randint(0, 2)
-        floors = power_root_vectors([(monomial_exponents(a), r)], R.p**e, R.nvars)
-        assert monomial_ideal(R, floors) == frobenius_root(ideal_power(a, r), e)
+        vecs = power_root_vectors([(monomial_exponents(a), r)], R, e)
+        assert monomial_ideal(R, vecs) == frobenius_root(ideal_power(a, r), e)
 
 
 def test_nu_bruteforce_examples():

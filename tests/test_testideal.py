@@ -260,7 +260,7 @@ def test_monomial_results_are_certified():
 
 def test_closed_form_equals_the_chain_at_stabilized_at():
     # stabilized_at is bounded from the Newton polyhedron alone; the chain
-    # term there, from the floor formula, must be the closed-form value.
+    # term there, from the digit descent, must be the closed-form value.
     rnd = random.Random(109)
     checked = 0
     while checked < 400:
@@ -278,7 +278,8 @@ def test_closed_form_equals_the_chain_at_stabilized_at():
         assert got.certified
         q = p**got.stabilized_at
         term = power_root_vectors([(monomial_exponents(a), ceil(c * q))
-                                   for a, c in zip(factors, cs)], q, n)
+                                   for a, c in zip(factors, cs)],
+                                  R, got.stabilized_at)
         assert monomial_ideal(R, term) == got.ideal, (factors, cs)
         checked += 1
 
@@ -483,12 +484,21 @@ def test_level_cap_bounds_the_descent():
 
 
 def test_level_cap_at_a_p_power_exponent():
-    # tau(f^(r/2^a)) is proved at level a; the cap counts no level past it.
+    # tau(f^(r/p^a)) is proved at level a; the cap counts no level past it.
+    # Past the cap, as for every descent, a unit chain term at a level 1, 2,
+    # 4, ... within it still proves tau = R; above the cusp's threshold 1/2
+    # there is none.
     f, m = R2.ideal("x^2+y^3"), R2.ideal("x", "y")
     got = tau(f, Fraction(5, 8), e_limit=3)
     assert got.ideal == m and got.stabilized_at == 3
     with pytest.raises(ResourceLimitError, match="level 3 exceeds the cap 2"):
         tau(f, Fraction(5, 8), e_limit=2)
+    got = tau(f, Fraction(1, 64), e_limit=3)
+    assert got.ideal == R2.ideal("1") and got.certified
+    assert got.chain_trace == ((2, got.ideal),)
+    R7 = ring(7, "x", "y")
+    got = tau(R7.ideal("6*x*y+y"), Fraction(202, 343), e_limit=2)
+    assert got.ideal == R7.ideal("1") and got.chain_trace == ((1, got.ideal),)
     got = tau(f, Fraction(3, 4), e_limit=2)
     assert got.ideal == m and got.stabilized_at == 2
     got = tau(f, Fraction(7, 1024), e_limit=10)
