@@ -100,8 +100,6 @@ def _build_parser() -> _Parser:
         if ideal:
             p.add_argument("--ideal", required=True, help="ideal name from the job file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--oracle", action="store_true",
-                       help="replay through the brute-force reference and compare")
         p.add_argument("--gb-step-cap", type=int, default=DEFAULT_STEP_LIMIT,
                        metavar="N", help="Groebner work cap (default %(default)s)")
         p.add_argument("--gen-cap", type=int, default=DEFAULT_GEN_LIMIT, metavar="N",
@@ -161,6 +159,10 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--cap", type=int, default=None)
 
+    for name in ("root", "tau", "nu", "fthreshold", "fpt"):
+        sub.choices[name].add_argument(
+            "--oracle", action="store_true",
+            help="replay through the brute-force reference and compare")
     return top
 
 
@@ -204,7 +206,6 @@ def _run_command(args, job: JobInput):
     if args.command == "bracket":
         out = bracket_power(job.ideal(args.ideal), _nat(args.e, "--e"),
                             e_limit=args.e_cap)
-        _no_oracle(args)
         return {"generators": _gens(out)}, {}
     if args.command == "tau":
         c = parse_rational(args.c)
@@ -225,7 +226,6 @@ def _run_command(args, job: JobInput):
             c = parse_rational(ctext)
             pairs.append((job.ideal(name.strip()), c))
             shown.append({"ideal": name.strip(), "c": format_rational(c)})
-        _no_oracle(args)
         r = mixed_test_ideal(pairs, _params(args), **lim)
         return ({"generators": _gens(r.ideal), "pairs": shown},
                 {"stabilized_at": r.stabilized_at, "certified": r.certified})
@@ -269,7 +269,6 @@ def _run_command(args, job: JobInput):
         return result, {"records": [{"e": r.e, "nu": r.nu} for r in est.records],
                         "certified": est.certified}
     if args.command == "jumps":
-        _no_oracle(args)
         jl = jumping_exponents(job.ideal(args.ideal), parse_rational(args.B),
                                _params(args), cap=_nat(args.cap, "--cap", 1),
                                **lim)
@@ -277,12 +276,10 @@ def _run_command(args, job: JobInput):
                  "ideals": [_gens(I) for I in jl.ideals]},
                 {"certified": jl.certified})
     if args.command == "gb":
-        _no_oracle(args)
         order = GREVLEX if args.order == "grevlex" else LEX
         gb = buchberger(job.ideal(args.ideal), order, step_limit=args.gb_step_cap)
         return {"order": args.order, "generators": [str(g) for g in gb.polys] or ["0"]}, {}
     if args.command == "denombound":
-        _no_oracle(args)
         cap = _nat(args.cap, "--cap", 1)
         db = denominator_bound(job.ideal(args.ideal))
         result = {"m": db.m, "d": db.d, "e0": db.e0, "N": db.N,
@@ -300,11 +297,6 @@ def _nat(value: int | None, flag: str, least: int = 0) -> int | None:
     if value is not None and value < least:
         raise _UsageError(f"{flag} must be at least {least}")
     return value
-
-
-def _no_oracle(args):
-    if args.oracle:
-        raise _UsageError(f"--oracle is not available for {args.command!r}")
 
 
 def _chain_term(I: Ideal, c, e: int, gen_cap: int) -> Ideal:

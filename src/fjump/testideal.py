@@ -28,12 +28,11 @@ L_e = (a^ceil(c p^e))^[1/p^e]; over F_p the union is a single chain term
   The result is that term at a + (j + c0) b.  A mixed test ideal runs the
   same automaton on a vector of keys, one per factor.  For a hypersurface
   (f) at c = r/p^a the first block returns {r: (1)}, so j = c0 = 0 and the
-  result is BMS's (f^r)^[1/p^a] at level a, taken without that block.
-  One rule caps every descent: when the level it would prove tau at (a
-  for a hypersurface at c = r/p^a, a + b before the first block, a + (j +
-  c0) b before the last levels) passes e_limit, it raises, unless a chain
-  term at a level 1, 2, 4, ... within the cap is R, which proves tau = R
-  since the chain ascends.
+  result is BMS's (f^r)^[1/p^a] at level a.
+  One rule caps every descent: it raises when a level it must reach passes
+  e_limit (a or one block of b levels before the blocks, a + (j + c0) b
+  after them), unless a chain term at a level 1, 2, 4, ... within the cap
+  is R, which proves tau = R since the chain ascends.
 
 Exponents c >= the number of generators are first peeled down by Skoda's
 theorem, tau(a^c) = a * tau(a^(c-1)).
@@ -76,8 +75,9 @@ class TauResult:
     descent state otherwise.  ``stabilized_at`` is a chain level (chains
     start at level 1) from which the chain provably equals the result: a
     level read off the polyhedron for the closed form, a + (j + c0) b for
-    the descent (a for a hypersurface at c = r/p^a), or the level of a unit
-    chain term (module docstring).
+    the descent, or the level of a unit chain term.  A descent raises when a
+    level it must reach (a or b before its blocks, a + (j + c0) b after
+    them) passes e_limit and no unit chain term within the cap is R.
     ``chain_trace`` is empty for the closed form; otherwise it is the single
     proved entry (stabilized_at, result), Skoda-scaled or not, and the
     result is that entry's ideal, generated by its reduced grevlex basis.
@@ -137,40 +137,15 @@ def test_ideal(a: Ideal, c, params: TauParams | None = None, *,
     """tau(a^c), the stable value of the chain (a^ceil(c p^e))^[1/p^e].
 
     c = 0 follows the convention tau(a^0) = R unless a = (0), which stays
-    (0).  Raises ResourceLimitError when the descent state of a non-monomial
-    ideal does not repeat within e_max blocks, or when its levels pass
-    e_limit (module docstring).  ``_digits``, private, is the descent's
-    table of products of a's generators, which a jump search shares."""
-    if _digits is None:
-        _digits = _Digits([a])
-    elif _digits.gens != [a.gens]:
+    (0); c >= the generator count is peeled by Skoda's theorem unless
+    ``params.use_skoda`` is off.  Raises ResourceLimitError when the descent
+    state does not repeat within e_max blocks, or past the level cap (module
+    docstring).  ``_digits``, private, is the descent's table of products
+    of a's generators, which a jump search shares."""
+    if _digits is not None and _digits.gens != [a.gens]:
         raise PreconditionError("the digit table belongs to another ideal")
-    params = params or TauParams()
-    c = _as_exponent(c)
-    ring = a.ring
-    if a.is_zero():
-        return _proved(Ideal(ring, []), 0 if c == 0 else 1)
-    if c == 0:
-        return _proved(Ideal(ring, [ring.one()]), 0)
-
-    m = len(a.gens)
-    s = 0
-    c_res = c
-    if params.use_skoda and c >= m:
-        s, c_res = skoda_reduce(a, c)
-    if c_res == 0:
-        inner = _proved(Ideal(ring, [ring.one()]), 0)
-    else:
-        inner = _stable_value([(a, c_res)], params, _digits, gen_limit=gen_limit,
-                              step_limit=step_limit, e_limit=e_limit)
-    if s == 0:
-        return inner
-    value = ideal_product(ideal_power(a, s, gen_limit=gen_limit), inner.ideal)
-    e = inner.stabilized_at
-    if not inner.chain_trace:  # the monomial closed form
-        return TauResult(value, e, True)
-    value = value.reduced(step_limit=step_limit)
-    return _proved(value, e)
+    return _tau([(a, _as_exponent(c))], params, _digits, gen_limit=gen_limit,
+                step_limit=step_limit, e_limit=e_limit)
 
 
 def mixed_test_ideal(pairs, params: TauParams | None = None, *,
@@ -178,28 +153,48 @@ def mixed_test_ideal(pairs, params: TauParams | None = None, *,
                      step_limit: int | None = None,
                      e_limit: int | None = None) -> TauResult:
     """The mixed test ideal of (a_1^{c_1} ... a_k^{c_k}), the union of the
-    chain (prod_i a_i^ceil(c_i p^e))^[1/p^e]; computed as in test_ideal."""
-    params = params or TauParams()
+    chain (prod_i a_i^ceil(c_i p^e))^[1/p^e].  A zero factor gives (0), a
+    factor with c_i = 0 is dropped, and one factor is test_ideal(a_1, c_1);
+    Skoda's theorem peels only that single factor."""
     pairs = [(a, _as_exponent(c)) for a, c in pairs]
     if not pairs:
         raise PreconditionError("mixed test ideals need at least one factor")
-    ring = pairs[0][0].ring
-    for a, _ in pairs:
-        if a.ring != ring:
-            raise PreconditionError("all factors must live in one ring")
-    if len(pairs) == 1:
-        return test_ideal(pairs[0][0], pairs[0][1], params, gen_limit=gen_limit,
-                          step_limit=step_limit, e_limit=e_limit)
-    if any(a.is_zero() for a, _ in pairs):
-        # A zero factor kills every chain term (and the c = 0 convention for
-        # the zero ideal is the zero ideal as well).
-        return _proved(Ideal(ring, []), 1)
-    active = [(a, c) for a, c in pairs if c > 0]
-    if not active:
-        return _proved(Ideal(ring, [ring.one()]), 0)
-    return _stable_value(active, params, _Digits([a for a, _ in active]),
-                         gen_limit=gen_limit, step_limit=step_limit,
-                         e_limit=e_limit)
+    if any(a.ring != pairs[0][0].ring for a, _ in pairs):
+        raise PreconditionError("all factors must live in one ring")
+    return _tau(pairs, params, None, gen_limit=gen_limit, step_limit=step_limit,
+                e_limit=e_limit)
+
+
+def _tau(pairs, params: TauParams | None, digits: _Digits | None, *, gen_limit,
+         step_limit, e_limit) -> TauResult:
+    """The one body of both entries; ``digits`` is None or the table of the
+    single factor."""
+    params = params or TauParams()
+    a, c = pairs[0]
+    ring = a.ring
+    if any(f.is_zero() for f, _ in pairs):
+        # A zero factor kills every chain term; alone at c = 0 it is level 0.
+        return _proved(Ideal(ring, []), 0 if len(pairs) == 1 and c == 0 else 1)
+    s = 0
+    if len(pairs) == 1 and params.use_skoda and c >= len(a.gens):
+        s, c = skoda_reduce(a, c)
+        pairs = [(a, c)]
+    pairs = [(f, x) for f, x in pairs if x]  # a^0 = R
+    if not pairs:
+        inner = _proved(Ideal(ring, [ring.one()]), 0)
+    elif (groups := _monomial_groups(pairs)) is not None:
+        vecs, stab = tau_vectors(groups, ring.p)
+        inner = TauResult(monomial_ideal(ring, vecs), stab, True)
+    else:
+        inner = _descent_tau(pairs, params, digits or _Digits([f for f, _ in pairs]),
+                             gen_limit=gen_limit, step_limit=step_limit,
+                             e_limit=e_limit)
+    if s == 0:
+        return inner
+    value = ideal_product(ideal_power(a, s, gen_limit=gen_limit), inner.ideal)
+    if not inner.chain_trace:  # the monomial closed form
+        return TauResult(value, inner.stabilized_at, True)
+    return _proved(value.reduced(step_limit=step_limit), inner.stabilized_at)
 
 
 def _monomial_groups(pairs):
@@ -216,24 +211,13 @@ def _monomial_groups(pairs):
     return groups
 
 
-def _stable_value(pairs, params: TauParams, digits: _Digits, *, gen_limit,
-                  step_limit, e_limit):
-    ring = pairs[0][0].ring
-    groups = _monomial_groups(pairs)
-    if groups is not None:
-        vecs, stab = tau_vectors(groups, ring.p)
-        return TauResult(monomial_ideal(ring, vecs), stab, True)
-    a, rest = _split_p(ring.p, lcm(*(c.denominator for _, c in pairs)))
-    return _descent_tau(pairs, a, rest, params, digits, gen_limit=gen_limit,
-                        step_limit=step_limit, e_limit=e_limit)
-
-
-def _descent_tau(pairs, a: int, rest: int, params: TauParams, digits: _Digits, *,
-                 gen_limit, step_limit, e_limit) -> TauResult:
+def _descent_tau(pairs, params: TauParams, digits: _Digits, *, gen_limit,
+                 step_limit, e_limit) -> TauResult:
     """tau from a repeat of the descent state (module docstring), with c_i =
     K_i/((p^b - 1) p^a), p^b = 1 mod rest; states map keys to reduced bases."""
     ring = pairs[0][0].ring
     p = ring.p
+    a, rest = _split_p(p, lcm(*(c.denominator for _, c in pairs)))
     b = multiplicative_order(p, rest)
     one = ring.one()
     K = [int(c * p**a * (p**b - 1)) for _, c in pairs]
@@ -266,17 +250,9 @@ def _descent_tau(pairs, a: int, rest: int, params: TauParams, digits: _Digits, *
         _check_e(e, e_limit)
 
     limit = E_LIMIT if e_limit is None else e_limit
+    if max(a, b) > limit:
+        return capped(max(a, b))
     start = tuple(ceil(c * p**a) for _, c in pairs)
-    if rest == 1 and [len(f.gens) for f, _ in pairs] == [1]:
-        # tau(f^(r/p^a)): the first block returns {r: (1)}, so k = c0 = 0
-        # (BMS).  Each level's root is taken once, so none is cached or reduced.
-        e = max(a, 1)
-        if e > limit:
-            return capped(e)
-        value = digits.expand(digits.descend({start: (one,)}, a), gen_limit)
-        return _proved(value.reduced(step_limit=step_limit), e)
-    if a + b > limit:
-        return capped(a + b)
     state = {start: (one,)}
     low = tuple(map(sum, zip(start, K)))  # the least key seen, factor by factor
     seen: dict = {}

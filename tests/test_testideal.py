@@ -505,6 +505,38 @@ def test_level_cap_at_a_p_power_exponent():
     assert got.ideal == R2.ideal("1") and got.stabilized_at == 10
 
 
+def test_level_cap_between_the_levels_and_their_sum():
+    # 7/12 over F_2 has a = 2 and blocks of b = ord_3(2) = 2 levels.  Under
+    # a cap of 3, a and b fit but a + b does not, so the blocks run, and
+    # the proof level 6 still passes the cap.  7/12 lies above the cusp's
+    # threshold 1/2, so no unit chain term answers either.
+    f = R2.ideal("x^2+y^3")
+    with pytest.raises(ResourceLimitError, match="level 6 exceeds the cap 3"):
+        tau(f, Fraction(7, 12), e_limit=3)
+    got = tau(f, Fraction(7, 12), e_limit=6)
+    assert got.ideal == R2.ideal("x", "y") and got.stabilized_at == 6
+
+
+def test_mixed_zero_factors_and_factors_at_zero():
+    # A factor at c = 0 drops out, and Skoda's theorem peels only a single
+    # factor: next to (x + y)^0 the cusp at 7/5 is proved at level 4, while
+    # alone it is peeled to 2/5 and proved at level 8.
+    f, g, z = R3.ideal("x^2+y^3"), R3.ideal("x+y"), Ideal(R3, [])
+    got = tau_mixed([(f, Fraction(7, 5)), (g, 0)])
+    alone = tau(f, Fraction(7, 5))
+    assert got.ideal == alone.ideal and [str(h) for h in got.ideal.gens] == ["y^3 + x^2"]
+    assert (got.stabilized_at, alone.stabilized_at) == (4, 8)
+    assert got.chain_trace == ((4, got.ideal),) and got.certified
+    got = tau_mixed([(f, 0), (g, 0)])
+    assert got.ideal.gens == (R3.one(),) and got.stabilized_at == 0
+    # A zero factor kills every chain term; alone at c = 0 it is level 0.
+    for pairs, level in (([(z, 0)], 0), ([(z, Fraction(1, 2))], 1),
+                         ([(z, 0), (f, Fraction(1, 2))], 1), ([(z, 0), (f, 0)], 1)):
+        got = tau_mixed(pairs)
+        assert got.ideal.gens == () and got.stabilized_at == level
+        assert got.chain_trace == ((level, got.ideal),) and got.certified
+
+
 def test_digit_table_of_another_ideal_is_refused():
     # A jump search hands test_ideal the table of its own ideal's products;
     # a table built for other generators would give a wrong tau.

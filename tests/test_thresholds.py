@@ -449,3 +449,26 @@ def test_nu_at_test_ideal_stays_below_ceiling():
         p = R.p
         for e in (1, 2, 3):
             assert nu(a, T, e) <= -((-c * p**e) // 1) - 1  # ceil(c p^e) - 1
+
+
+def test_principal_jump_search_past_the_level_cap_raises():
+    # The bisection's family-floor points of x^5 + y^7 over F_3 have p-free
+    # denominators whose tau descent passes the level cap; the search
+    # raises rather than return a list.
+    with pytest.raises(ResourceLimitError, match="level 73 exceeds the cap 64"):
+        jumping_exponents(R3.ideal("x^5+y^7"), 1)
+
+
+@pytest.mark.parametrize("p, f, lower, upper, truth", [
+    (7, "6*x^5*y^5+5*x^4*y^5+x^5*y+3*x^2*y^3",
+     Fraction(6460, 16807), Fraction(6462, 16807), Fraction(923, 2401)),
+    (3, "x^4*y^5+2*x^3*y^5+2*x^4*y^2+2*x^4",
+     Fraction(71, 243), Fraction(73, 243), Fraction(8, 27)),
+])
+def test_uncertified_fpt_brackets_the_true_value(p, f, lower, upper, truth):
+    # The nu bracket at e_max = 5 holds the F-pure threshold (tau at the
+    # truth lies in m, and just below it does not); the guess inside the
+    # bracket is not proved.
+    est = fpt(ring(p, "x", "y").ideal(f), 5)
+    assert (est.lower, est.upper, est.certified) == (lower, upper, False)
+    assert lower <= truth <= upper
